@@ -12,6 +12,12 @@ fleet of simulated tag profiles:
   ``BatchLocalizer`` use the same chunked sweep (streaming each chunk's
   results instead of materialising every cost matrix).
 
+A ``streaming_refresh`` row times the two kernels a streaming session's
+refresh can take (``repro.core.dtw.align_resumable_batch``): the per-tag
+Python column step against the stacked anti-diagonal sweep, at a typical
+fleet refresh (9 dirty tags × 9 new columns) and a narrow one (2 × 1).  It
+asserts both kernels are bit-identical to ``segmented_dtw_align``.
+
 Results (plus the end-to-end batched localization time) are written to
 ``BENCH_dtw.json`` so the performance trajectory is tracked PR over PR.
 
@@ -32,12 +38,15 @@ import numpy as np
 from repro.bench.store import record_run
 from repro.core.dtw import (
     MAX_BATCH_CELLS,
+    STACKED_REFRESH_CELLS_PER_STEP,
+    ResumableSegmentAligner,
     _accumulate_python,
-    _backtrack,
     _result_from_cost,
+    _sweep_stacked,
     _weighted_matrix,
     accumulate_cost,
     accumulate_cost_batch,
+    segmented_dtw_align,
 )
 from repro.core.localizer import BatchLocalizer, STPPConfig
 from repro.core.phase_profile import ProfileSet
@@ -94,6 +103,90 @@ def build_weighted_matrices(profiles: ProfileSet, window_size: int = 5):
     return weighted
 
 
+REFRESH_SHAPES = ((9, 9), (2, 1))
+"""(dirty tags, new columns) of the timed streaming refreshes: the fleet
+workload's median refresh, and a narrow per-round one."""
+
+
+def streaming_refresh_rows(
+    profiles: ProfileSet,
+    shapes=REFRESH_SHAPES,
+    repeats: int = 3,
+    prefix: int = 30,
+    window_size: int = 5,
+) -> dict:
+    """Time one streaming refresh per shape on both kernels; assert bit-identity.
+
+    Each tag's aligner first caches ``prefix`` columns, then the refresh
+    fills ``new`` more per tag — once with the per-tag Python column step,
+    once with the stacked sweep.  Filling never advances the cached prefix,
+    so every repeat recomputes the same cells.  Raises ``RuntimeError`` when
+    the two kernels or :func:`segmented_dtw_align` disagree on any cell,
+    cost or path.
+    """
+    reference = segment_profile(shared_canonical_reference().profile, window_size)
+    segmentations = [segment_profile(p, window_size) for p in profiles.profiles.values()]
+    rows = len(reference)
+    report = {}
+    for tags, new in shapes:
+        if len(segmentations) < tags or min(map(len, segmentations)) < prefix + new:
+            raise ValueError(f"too few or too short profiles for a {tags}x{new} refresh")
+        refreshes = []
+        for segments in segmentations[:tags]:
+            aligner = ResumableSegmentAligner(reference)
+            aligner.align(segments[:prefix], prefix)
+            query = segments[: prefix + new]
+            refresh = aligner._plan_refresh(query, len(query) - 1)
+            refresh.weighted = aligner._weighted_columns(segments[prefix : prefix + new])
+            aligner._ensure_capacity(refresh.columns)
+            refreshes.append(refresh)
+
+        def finish():
+            return [
+                _result_from_cost(r.aligner._cost[:, : r.columns], subsequence=True)
+                for r in refreshes
+            ]
+
+        def python_step():
+            for refresh in refreshes:
+                refresh.aligner._fill_columns(refresh)
+            return finish()
+
+        def stacked():
+            _sweep_stacked(refreshes, rows)
+            return finish()
+
+        expected = [
+            segmented_dtw_align(reference, segments[: prefix + new])
+            for segments in segmentations[:tags]
+        ]
+        stepped = python_step()
+        stepped_cells = [r.aligner._cost[:, : r.columns].copy() for r in refreshes]
+        swept = stacked()
+        identical = stepped == swept == expected and all(
+            np.array_equal(cells, r.aligner._cost[:, : r.columns])
+            for cells, r in zip(stepped_cells, refreshes)
+        )
+        if not identical:
+            raise RuntimeError(f"{tags}x{new} refresh: the kernels disagree")
+        python_s = time_call(python_step, repeats=repeats)
+        stacked_s = time_call(stacked, repeats=repeats)
+        chosen = rows * tags * new >= STACKED_REFRESH_CELLS_PER_STEP * (rows + new)
+        report[f"{tags}x{new}"] = {
+            "python_step_s": python_s,
+            "stacked_s": stacked_s,
+            "stacked_speedup": python_s / max(stacked_s, 1e-12),
+            "kernel_by_shape_rule": "stacked" if chosen else "python_step",
+            "bit_identical": identical,
+        }
+        print(
+            f"  refresh {tags:2d} tags x {new:2d} new columns: python step "
+            f"{python_s * 1000:6.2f} ms | stacked {stacked_s * 1000:6.2f} ms | "
+            f"rule picks {report[f'{tags}x{new}']['kernel_by_shape_rule']}"
+        )
+    return report
+
+
 def time_call(fn, repeats: int = 3) -> float:
     """Best-of-N wall clock of ``fn`` in seconds."""
     best = float("inf")
@@ -145,6 +238,9 @@ def main() -> None:
     print("timing the batched kernel ...")
     batched_s = time_call(run_batched, repeats=args.repeats)
     print(f"  batched     : {batched_s * 1000:9.1f} ms")
+
+    print("timing streaming refreshes (python step vs stacked sweep) ...")
+    refresh = streaming_refresh_rows(profiles, repeats=args.repeats)
 
     engine = BatchLocalizer(STPPConfig())
     tag_ids = list(profiles.profiles)
@@ -203,6 +299,7 @@ def main() -> None:
         },
         "localize_overhead_s": overhead_s,
         "localize_overhead_vs_kernel": overhead_ratio,
+        "streaming_refresh": refresh,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {args.out}")
@@ -213,6 +310,9 @@ def main() -> None:
                 "timings_s": report["timings_s"],
                 "speedup_vs_python_loop": report["speedup_vs_python_loop"],
                 "localize_overhead_vs_kernel": report["localize_overhead_vs_kernel"],
+                "streaming_refresh_speedup": {
+                    shape: row["stacked_speedup"] for shape, row in refresh.items()
+                },
             },
             scale={"tags": args.tags, "window_size": 5},
             history=args.history,

@@ -133,6 +133,10 @@ def _backtrack(
     rows, cols = cost.shape
     i = rows - 1
     j = cols - 1 if start_col is None else start_col
+    # Plain-float comparisons in diag → up → left order with strict ``<``:
+    # ties resolve to the earlier candidate, exactly as ``min(key=...)``
+    # over (diag, up, left) did.
+    item = cost.item
     path = [(i, j)]
     while i > 0 or j > 0:
         if i == 0:
@@ -142,12 +146,18 @@ def _backtrack(
         elif j == 0:
             i -= 1
         else:
-            candidates = (
-                (cost[i - 1, j - 1], i - 1, j - 1),
-                (cost[i - 1, j], i - 1, j),
-                (cost[i, j - 1], i, j - 1),
-            )
-            _, i, j = min(candidates, key=lambda item: item[0])
+            best = item(i - 1, j - 1)
+            up = item(i - 1, j)
+            if up < best:
+                if item(i, j - 1) < up:
+                    j -= 1
+                else:
+                    i -= 1
+            elif item(i, j - 1) < best:
+                j -= 1
+            else:
+                i -= 1
+                j -= 1
         path.append((i, j))
     path.reverse()
     return tuple(path)
@@ -186,7 +196,11 @@ def _accumulate_python(
     return cost
 
 
-def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
+def _accumulate_stack(
+    stack: np.ndarray,
+    free_query_start: bool,
+    boundary: np.ndarray | None = None,
+) -> np.ndarray:
     """Run the DTW recurrence over a ``(rows, cols, batch)`` weighted stack.
 
     The recurrence's row-major data dependency is broken by sweeping
@@ -198,25 +212,36 @@ def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
     contiguous run of batch lanes — no index arrays, no copies, and the inner
     ufunc loops stream over contiguous memory.
 
+    ``boundary`` (``(rows, batch)``), when given, is a pre-accumulated first
+    column that replaces the running sum over ``stack[:, 0]``: the stack then
+    continues matrices whose earlier columns were accumulated elsewhere (the
+    resumable streaming aligner carries its last cached column in).
+
     Cell values match :func:`_accumulate_python` bit for bit: the first
     row/column use ``np.add.accumulate`` (a strictly sequential sum, like the
     seed loop) and interior cells add the same operands in the same order.
     """
     rows, cols, batch = stack.shape
     cost = np.empty_like(stack)
-    if free_query_start:
-        cost[0] = stack[0]
-    else:
-        cost[0] = np.add.accumulate(stack[0], axis=0)
     # First column: cost[i, 0] = cost[i-1, 0] + w[i, 0]; cost[0, 0] = w[0, 0]
     # in both modes, so the running sum covers it.
-    cost[:, 0] = np.add.accumulate(stack[:, 0], axis=0)
+    if boundary is None:
+        cost[:, 0] = np.add.accumulate(stack[:, 0], axis=0)
+    else:
+        cost[:, 0] = boundary
+    if free_query_start:
+        cost[0, 1:] = stack[0, 1:]
+    else:
+        first_row = stack[0].copy()
+        first_row[0] = cost[0, 0]
+        cost[0] = np.add.accumulate(first_row, axis=0)
     if rows == 1 or cols == 1:
         return cost
 
     flat_cost = cost.reshape(rows * cols, batch)
     flat_weighted = stack.reshape(rows * cols, batch)
     step = cols - 1
+    minimum, add = np.minimum, np.add
     for d in range(2, rows + cols - 1):
         i_lo = max(1, d - cols + 1)
         i_hi = min(rows - 1, d - 1)
@@ -228,10 +253,13 @@ def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
         left = slice(start - 1, stop - 1, step)              # (i,   j-1)
         up = slice(start - 1 - step, stop - 1 - step, step)  # (i-1, j)
         diag = slice(start - 2 - step, stop - 2 - step, step)  # (i-1, j-1)
-        best = np.minimum(
-            np.minimum(flat_cost[diag], flat_cost[up]), flat_cost[left]
-        )
-        flat_cost[current] = flat_weighted[current] + best
+        # Computed in place in the diagonal's own (still unwritten) cells:
+        # min(min(diag, up), left), then weighted + best — the same operands
+        # in the same order, without temporaries.
+        best = flat_cost[current]
+        minimum(flat_cost[diag], flat_cost[up], out=best)
+        minimum(best, flat_cost[left], out=best)
+        add(flat_weighted[current], best, out=best)
     return cost
 
 
@@ -489,6 +517,41 @@ def segmented_dtw_align_batch(
     )
 
 
+STACKED_REFRESH_CELLS_PER_STEP = 60
+"""Shape rule choosing a streaming refresh's kernel (:func:`align_resumable_batch`).
+
+A refresh fills ``Σc`` new DTW columns of ``rows`` cells across its tags.
+The per-column Python step costs about the same per *cell*; the stacked
+anti-diagonal sweep costs about the same per *diagonal step* (``rows + max
+c`` of them, whatever the lane count).  The sweep is taken when
+``rows · Σc >= STACKED_REFRESH_CELLS_PER_STEP · (rows + max c)``.
+Measured like :data:`MAX_BATCH_CELLS` — results are identical either way,
+so this is a throughput knob only: on a 2-CPU x86 host the Python step
+wins at 1×1 and 4×1 (tags × new columns) and the sweep from about 9×9.
+"""
+
+
+@dataclass(slots=True)
+class _Refresh:
+    """One aligner's share of a streaming refresh (see align_resumable_batch)."""
+
+    aligner: "ResumableSegmentAligner"
+    start: int
+    """First column to compute (the aligner's cached prefix length)."""
+    columns: int
+    stable: int
+    weighted: np.ndarray | None = None
+    """``(rows, columns - start)`` weighted distances of the new columns."""
+
+    @property
+    def width(self) -> int:
+        """Stacked-sweep width: the new columns, plus the carried boundary
+        column of a resumed lane (a fresh lane's first new column is its own
+        boundary)."""
+        new = self.columns - self.start
+        return new if self.start == 0 else new + 1
+
+
 class ResumableSegmentAligner:
     """Subsequence segmented DTW that resumes as the query grows (streaming).
 
@@ -505,7 +568,9 @@ class ResumableSegmentAligner:
       scratch space.
 
     Per refresh that is O(rows × new_columns) instead of O(rows × columns),
-    which is what makes per-round provisional orderings cheap.
+    which is what makes per-round provisional orderings cheap.  Many aligners
+    sharing one reference refresh together through
+    :func:`align_resumable_batch`; :meth:`align` is its one-aligner case.
 
     **Bit-identity contract**: every cell is computed with the same operations
     on the same operands as :func:`accumulate_cost` (column 0 via the same
@@ -534,46 +599,49 @@ class ResumableSegmentAligner:
         """Drop the cached prefix (used when a tag's stream is rebuilt)."""
         self._cached_cols = 0
 
-    def _weighted_column(self, segment: Segment) -> np.ndarray:
-        """Weighted distance of every reference segment against ``segment``.
+    def _weighted_columns(self, segments: list[Segment]) -> np.ndarray:
+        """Weighted distances of every reference segment against ``segments``.
 
-        Built from the same :func:`range_gap_matrix` /
-        :func:`duration_weight_matrix` helpers the batch aligner uses (as
-        one-column matrices), so the two paths share a single source of
-        truth for the paper's distance and weight formulas.
+        One :func:`range_gap_matrix` / :func:`duration_weight_matrix` call
+        over all the new segments — the helpers the batch aligner uses, so
+        the two paths share a single source of truth for the paper's
+        distance and weight formulas.
         """
-        distance = range_gap_matrix(
-            self._ref_min,
-            self._ref_max,
-            np.array([segment.min_phase_rad]),
-            np.array([segment.max_phase_rad]),
-        )[:, 0]
-        weights = duration_weight_matrix(
-            self._ref_durations, np.array([max(segment.duration_s, 1e-6)])
-        )[:, 0]
-        return distance * weights
+        q_min, q_max = segment_bounds(segments)
+        distance = range_gap_matrix(self._ref_min, self._ref_max, q_min, q_max)
+        return distance * duration_weight_matrix(
+            self._ref_durations, segment_durations(segments)
+        )
 
     def _accumulate_column(
-        self, weighted: np.ndarray, previous: np.ndarray | None
-    ) -> np.ndarray:
-        """One column of the subsequence-DTW recurrence.
+        self, weighted: np.ndarray, previous: np.ndarray
+    ) -> list[float]:
+        """One interior column of the subsequence-DTW recurrence.
 
-        ``previous`` is the accumulated column to the left (None for the
-        first column, which is a plain running sum in both start modes).
+        ``previous`` is the accumulated column to the left.  The diag/left
+        minimum of every row is one NumPy pass; only the chain through the
+        cell above stays a Python loop.  ``min(min(diag, left), up)`` equals
+        ``min(diag, up, left)`` — the kernels' order — in value.
         """
-        if previous is None:
-            return np.add.accumulate(weighted)
-        column = np.empty(self._rows, dtype=float)
+        sides = np.minimum(previous[:-1], previous[1:]).tolist()
+        weights = weighted.tolist()
         # Free query start: the first reference row restarts the match.
-        column[0] = weighted[0]
-        prev = previous.tolist()
-        w = weighted.tolist()
-        up = w[0]
-        for i in range(1, self._rows):
-            best = min(prev[i - 1], up, prev[i])  # diag, up, left
-            up = w[i] + best
-            column[i] = up
+        up = weights[0]
+        column = [up]
+        for weight, side in zip(weights[1:], sides):
+            up = weight + (side if side < up else up)
+            column.append(up)
         return column
+
+    def _fill_columns(self, refresh: _Refresh) -> None:
+        """Narrow kernel: fill the refresh's new columns one at a time."""
+        cost = self._cost
+        for offset, j in enumerate(range(refresh.start, refresh.columns)):
+            weighted = refresh.weighted[:, offset]
+            if j == 0:
+                cost[:, 0] = np.add.accumulate(weighted)
+            else:
+                cost[:, j] = self._accumulate_column(weighted, cost[:, j - 1])
 
     def _ensure_capacity(self, columns: int) -> None:
         if self._cost.shape[1] >= columns:
@@ -584,6 +652,23 @@ class ResumableSegmentAligner:
         grown = np.empty((self._rows, capacity), dtype=float)
         grown[:, : self._cached_cols] = self._cost[:, : self._cached_cols]
         self._cost = grown
+
+    def _plan_refresh(
+        self, query_segments: list[Segment], stable_count: int | None
+    ) -> _Refresh:
+        """Validate one refresh request without touching any state."""
+        columns = len(query_segments)
+        if columns == 0:
+            raise ValueError("query segmentation must be non-empty")
+        if stable_count is None:
+            stable_count = columns - 1
+        stable = min(stable_count, columns)
+        if stable < self._cached_cols:
+            raise ValueError(
+                f"stable prefix shrank from {self._cached_cols} to {stable} "
+                "columns; call reset() after rebuilding a stream"
+            )
+        return _Refresh(self, self._cached_cols, columns, stable)
 
     def align(
         self, query_segments: list[Segment], stable_count: int | None = None
@@ -601,30 +686,104 @@ class ResumableSegmentAligner:
             calls — a shrinking prefix means the stream was rebuilt, in which
             case call :meth:`reset` first.
         """
-        columns = len(query_segments)
-        if columns == 0:
-            raise ValueError("query segmentation must be non-empty")
-        if stable_count is None:
-            stable_count = columns - 1
-        stable = min(stable_count, columns)
-        if stable < self._cached_cols:
-            raise ValueError(
-                f"stable prefix shrank from {self._cached_cols} to {stable} "
-                "columns; call reset() after rebuilding a stream"
-            )
+        return align_resumable_batch([self], [query_segments], [stable_count])[0]
 
-        # Volatile tail columns are written into the same buffer past the
-        # cached prefix (no scratch matrix, no prefix copy — the per-refresh
-        # cost really is O(rows × new columns)); they are overwritten on the
-        # next refresh because _cached_cols does not advance past `stable`.
-        self._ensure_capacity(columns)
-        for j in range(self._cached_cols, columns):
-            previous = self._cost[:, j - 1] if j > 0 else None
-            self._cost[:, j] = self._accumulate_column(
-                self._weighted_column(query_segments[j]), previous
+
+def _sweep_stacked(refreshes: list[_Refresh], rows: int) -> None:
+    """Wide kernel: fill every lane's new columns in one anti-diagonal sweep.
+
+    Each refresh is a batch lane of :func:`_accumulate_stack`, zero-padded
+    on the right to the widest lane (padding never feeds a real cell — the
+    recurrence only reads up/left/up-left).  A resumed lane's boundary is its
+    last cached column; a fresh lane's is the running sum of its first new
+    column, the same sequential ``np.add.accumulate`` as the narrow kernel.
+    """
+    width = max(refresh.width for refresh in refreshes)
+    stack = np.zeros((rows, width, len(refreshes)), dtype=float)
+    boundary = np.empty((rows, len(refreshes)), dtype=float)
+    for lane, refresh in enumerate(refreshes):
+        weighted = refresh.weighted
+        if refresh.start == 0:
+            boundary[:, lane] = np.add.accumulate(weighted[:, 0])
+            stack[:, 1 : weighted.shape[1], lane] = weighted[:, 1:]
+        else:
+            boundary[:, lane] = refresh.aligner._cost[:, refresh.start - 1]
+            stack[:, 1 : 1 + weighted.shape[1], lane] = weighted
+    cost = _accumulate_stack(stack, free_query_start=True, boundary=boundary)
+    for lane, refresh in enumerate(refreshes):
+        first = 0 if refresh.start == 0 else 1
+        refresh.aligner._cost[:, refresh.start : refresh.columns] = cost[
+            :, first : first + refresh.columns - refresh.start, lane
+        ]
+
+
+def align_resumable_batch(
+    aligners: "list[ResumableSegmentAligner]",
+    query_segmentations: "list[list[Segment]]",
+    stable_counts: "list[int | None] | None" = None,
+) -> list[DTWResult]:
+    """Refresh many resumable aligners of one reference together.
+
+    Equivalent to ``[a.align(q, s) for a, q, s in zip(...)]`` — every result
+    bit-identical to :func:`segmented_dtw_align` on the same segmentation —
+    but the new DTW columns of all lanes are filled by one kernel choice per
+    padded chunk (:data:`MAX_BATCH_CELLS`):
+
+    * **wide** refreshes run the shared anti-diagonal kernel
+      :func:`_accumulate_stack` once, the aligners as its batch lanes and
+      each carried column as the boundary;
+    * **narrow** ones (a tag or two, a column or two — the typical
+      per-round refresh) step one column at a time in Python, which beats
+      a sweep's fixed ``rows + max c`` diagonal steps there.
+
+    :data:`STACKED_REFRESH_CELLS_PER_STEP` draws the line from the shape
+    alone.  Each column is computed once per refresh; volatile tail columns
+    from an earlier refresh are always recomputed.  Backtracking stays per
+    aligner.  Every request is validated before any aligner is touched.
+    """
+    if stable_counts is None:
+        stable_counts = [None] * len(aligners)
+    if not len(aligners) == len(query_segmentations) == len(stable_counts):
+        raise ValueError("aligners, query segmentations and stable counts differ in length")
+    if len({id(aligner) for aligner in aligners}) != len(aligners):
+        raise ValueError("an aligner may appear only once per refresh")
+    if len({aligner._rows for aligner in aligners}) > 1:
+        raise ValueError("aligners in one refresh must share a reference length")
+    refreshes = [
+        aligner._plan_refresh(segments, stable)
+        for aligner, segments, stable in zip(aligners, query_segmentations, stable_counts)
+    ]
+    pending = []
+    for refresh, segments in zip(refreshes, query_segmentations):
+        refresh.aligner._ensure_capacity(refresh.columns)
+        if refresh.columns > refresh.start:
+            refresh.weighted = refresh.aligner._weighted_columns(
+                segments[refresh.start : refresh.columns]
             )
-        self._cached_cols = stable
-        return _result_from_cost(self._cost[:, :columns], subsequence=True)
+            pending.append(refresh)
+    if pending:
+        rows = pending[0].aligner._rows
+        shapes = [(rows, refresh.width) for refresh in pending]
+        for chunk in _plan_chunks(shapes, MAX_BATCH_CELLS):
+            lanes = [pending[k] for k in chunk]
+            new_cells = rows * sum(r.columns - r.start for r in lanes)
+            steps = rows + max(r.columns - r.start for r in lanes)
+            if new_cells >= STACKED_REFRESH_CELLS_PER_STEP * steps:
+                _sweep_stacked(lanes, rows)
+            else:
+                for refresh in lanes:
+                    refresh.aligner._fill_columns(refresh)
+    # Columns past `stable` are volatile: they sit in the buffer for this
+    # backtrack only, outside the cached prefix, so the next refresh
+    # recomputes them.
+    results = []
+    for refresh in refreshes:
+        aligner = refresh.aligner
+        aligner._cached_cols = refresh.stable
+        results.append(
+            _result_from_cost(aligner._cost[:, : refresh.columns], subsequence=True)
+        )
+    return results
 
 
 def warp_query_to_reference(result: DTWResult, query_values: np.ndarray) -> np.ndarray:

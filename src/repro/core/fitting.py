@@ -13,12 +13,16 @@ recovers a robust estimate of
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..rf.constants import TWO_PI
 from .phase_profile import PhaseProfile
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,14 +66,63 @@ class QuadraticFit:
         return float(np.sqrt(TWO_PI / self.curvature))
 
 
+def _unwrap(phases: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phases)`` of a 1-D float array, inlined.
+
+    The same arithmetic in the same order — ``mod(dd + π, 2π) − π`` on the
+    sample differences, the ``+π`` fix for differences that landed on the
+    ``−π`` boundary, zero correction below the ``π`` discontinuity, and a
+    strictly sequential ``np.add.accumulate`` of the corrections — so the
+    result is bit-identical, minus ``np.unwrap``'s generic-axis wrapper cost
+    (this runs on every V-zone fit).
+    """
+    diffs = phases[1:] - phases[:-1]
+    wrapped = np.mod(diffs + np.pi, TWO_PI) - np.pi
+    wrapped[(wrapped == -np.pi) & (diffs > 0)] = np.pi
+    correction = wrapped - diffs
+    correction[np.abs(diffs) < np.pi] = 0.0
+    unwrapped = phases.copy()
+    unwrapped[1:] = phases[1:] + np.add.accumulate(correction)
+    return unwrapped
+
+
 def _local_unwrap(phases: np.ndarray) -> np.ndarray:
     """Unwrap a V-zone phase sequence and normalise it to start near its data."""
-    unwrapped = np.unwrap(np.asarray(phases, dtype=float))
+    unwrapped = _unwrap(phases)
     # Keep values in a friendly range: shift by whole periods so the minimum
     # lies within [0, 2*pi).  The shift does not change the fit's time axis.
-    minimum = float(np.min(unwrapped))
+    minimum = float(unwrapped.min())
     shift = np.floor(minimum / TWO_PI) * TWO_PI
     return unwrapped - shift
+
+
+def _polyfit2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.polyfit(x, y, deg=2)`` of 1-D float arrays, inlined.
+
+    The same Vandermonde matrix, column scaling and
+    ``np.linalg.lstsq(..., rcond=len(x)·eps)`` solve, and the same
+    :class:`numpy.exceptions.RankWarning` on a rank-deficient fit (attributed
+    to the caller, as ``np.polyfit`` does) — bit-identical coefficients
+    without ``np.polyfit``'s argument checking.
+    """
+    x = x + 0.0
+    lhs = np.vander(x, 3)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coeffs, _, rank, _ = np.linalg.lstsq(lhs, y + 0.0, rcond=x.size * _EPS)
+    if rank != 3:
+        warnings.warn(
+            "Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2
+        )
+    return coeffs / scale
+
+
+def _polyval2(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.polyval(coeffs, x)`` (Horner from a zero start), inlined."""
+    fitted = np.zeros_like(x)
+    for coeff in coeffs:
+        fitted = fitted * x + coeff
+    return fitted
 
 
 def fit_vzone(
@@ -100,8 +153,8 @@ def fit_vzone(
         )
 
     unwrapped = _local_unwrap(phases)
-    fallback_time = float(times[int(np.argmin(unwrapped))])
-    fallback_phase = float(np.min(unwrapped))
+    fallback_time = float(times[int(unwrapped.argmin())])
+    fallback_phase = float(unwrapped.min())
 
     if times.size < max(3, min_samples):
         return QuadraticFit(
@@ -114,12 +167,12 @@ def fit_vzone(
         )
 
     # Centre the time axis for numerical conditioning.
-    t_centre = float(np.mean(times))
+    t_centre = float(np.add.reduce(times) / times.size)  # np.mean, inlined
     shifted = times - t_centre
-    coeffs = np.polyfit(shifted, unwrapped, deg=2)
-    a, b, c = (float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
-    residuals = unwrapped - np.polyval(coeffs, shifted)
-    rms = float(np.sqrt(np.mean(residuals**2)))
+    coeffs = _polyfit2(shifted, unwrapped)
+    a, b, c = coeffs.tolist()
+    residuals = unwrapped - _polyval2(coeffs, shifted)
+    rms = math.sqrt(np.add.reduce(residuals * residuals) / residuals.size)
 
     if a <= 0.0:
         return QuadraticFit(

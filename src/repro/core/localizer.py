@@ -29,7 +29,7 @@ from .reference import (
     shared_canonical_reference,
 )
 from .result import LocalizationResult
-from .vzone import DETECTION_METHODS, VZoneDetector
+from .vzone import DETECTION_METHODS, VZoneDetector, vzone_method_counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,6 +183,7 @@ class STPPLocalizer:
                 "y_value_mode": self.config.y_value_mode,
                 "elapsed_s": elapsed,
                 "profile_count": len(profile_map),
+                "vzone_methods": vzone_method_counts(vzones),
                 "batched": self.batched,
             },
         )

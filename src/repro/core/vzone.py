@@ -26,6 +26,7 @@ curvature (Y ordering), and a validity flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -80,6 +81,19 @@ class VZone:
     def sample_count(self) -> int:
         """Number of samples inside the window."""
         return self.end_index - self.start_index
+
+
+def vzone_method_counts(vzones: "Mapping[str, VZone]") -> dict[str, int]:
+    """Detections per :attr:`VZone.method`, keys sorted.
+
+    Reported as ``metadata["vzone_methods"]`` by the batch localizer and the
+    streaming session alike, so how often the longest-run fallback replaced
+    the configured method is visible without re-running detection.
+    """
+    counts: dict[str, int] = {}
+    for vzone in vzones.values():
+        counts[vzone.method] = counts.get(vzone.method, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 @dataclass
@@ -384,8 +398,10 @@ class VZoneDetector:
             expansion = int(round((end_index - start_index) * self.expand_fraction))
             start_index = max(0, start_index - expansion)
             end_index = min(len(profile), end_index + expansion)
-        window = profile.slice_index(start_index, end_index)
-        fit = fit_vzone(window.timestamps_s, window.phases_rad)
+        fit = fit_vzone(
+            profile.timestamps_s[start_index:end_index],
+            profile.phases_rad[start_index:end_index],
+        )
 
         # Recentre-and-refit: DTW (or the heuristic) only needs to land a
         # window that overlaps the true V-zone; the quadratic fit then tells
@@ -423,8 +439,9 @@ class VZoneDetector:
         end_index = int(np.searchsorted(times, end_time, side="right"))
         if end_index - start_index < 5:
             return None
-        window = profile.slice_index(start_index, end_index)
-        refined = fit_vzone(window.timestamps_s, window.phases_rad)
+        refined = fit_vzone(
+            times[start_index:end_index], profile.phases_rad[start_index:end_index]
+        )
         if not refined.valid:
             return None
         return start_index, end_index, refined

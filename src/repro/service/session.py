@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.dtw import ResumableSegmentAligner
+from ..core.dtw import ResumableSegmentAligner, align_resumable_batch
 from ..core.localizer import STPPConfig, STPPLocalizer
 from ..core.ordering_x import order_tags_x
 from ..core.ordering_y import order_tags_y
 from ..core.phase_profile import PhaseProfile
 from ..core.result import LocalizationResult
 from ..core.segmentation import IncrementalSegmenter
-from ..core.vzone import VZone
+from ..core.vzone import VZone, vzone_method_counts
 from ..evaluation.metrics import ordering_agreement
 from ..rfid.reading import ReadBatch, TagRead
 from ..simulation.streaming import StreamingCollector, TagStreamBuffer
@@ -255,8 +255,8 @@ class LocalizationSession:
             self._pipelines[tag_id] = pipeline
         return pipeline
 
-    def _detect(self, tag_id: str, profile: PhaseProfile) -> VZone | None:
-        """Incremental V-zone detection for one tag's current profile."""
+    def _extend(self, tag_id: str, profile: PhaseProfile) -> _TagPipeline:
+        """Bring one tag's segmenter up to its current profile."""
         stream = self.collector.stream(tag_id)
         pipeline = self._pipeline_for(tag_id)
         if pipeline.generation != stream.reorders:
@@ -275,21 +275,34 @@ class LocalizationSession:
                 profile.phases_rad[pipeline.consumed :],
             )
             pipeline.consumed = total
-        if pipeline.vzone_sample_count == total:
-            return pipeline.vzone
-        segments = pipeline.segmenter.segments()
-        if segments:
-            result = pipeline.aligner.align(
-                segments, pipeline.segmenter.stable_count()
-            )
-            vzone = self._detector.detect_from_segmented_alignment(
+        return pipeline
+
+    def _detect_dirty(self, dirty: "list[tuple[PhaseProfile, _TagPipeline]]") -> None:
+        """Incremental V-zone detection for every tag whose profile grew.
+
+        All the dirty tags' new DTW columns are filled in one
+        :func:`~repro.core.dtw.align_resumable_batch` call (one stacked
+        sweep on wide refreshes); backtracking and the window/fit/fallback
+        path then run per tag.
+        """
+        aligned = []
+        for profile, pipeline in dirty:
+            segments = pipeline.segmenter.segments()
+            if segments:
+                aligned.append((profile, pipeline, segments))
+            else:
+                pipeline.vzone = self._detector.detect(profile)
+                pipeline.vzone_sample_count = len(profile)
+        results = align_resumable_batch(
+            [pipeline.aligner for _, pipeline, _ in aligned],
+            [segments for _, _, segments in aligned],
+            [pipeline.segmenter.stable_count() for _, pipeline, _ in aligned],
+        )
+        for (profile, pipeline, segments), result in zip(aligned, results):
+            pipeline.vzone = self._detector.detect_from_segmented_alignment(
                 profile, segments, result
             )
-        else:
-            vzone = self._detector.detect(profile)
-        pipeline.vzone = vzone
-        pipeline.vzone_sample_count = total
-        return vzone
+            pipeline.vzone_sample_count = len(profile)
 
     def _localize(self) -> LocalizationResult:
         """Run the ordering stages over the current incremental detections.
@@ -306,13 +319,21 @@ class LocalizationSession:
             profile_map[tag_id] = self.collector.profile(tag_id)
         expected = self._expected if self._expected is not None else list(profile_map)
 
-        vzones: dict[str, VZone] = {}
+        detected: list[tuple[str, _TagPipeline]] = []
+        dirty: list[tuple[PhaseProfile, _TagPipeline]] = []
         for tag_id, profile in profile_map.items():
             if len(profile) < self.config.min_profile_samples:
                 continue
-            vzone = self._detect(tag_id, profile)
-            if vzone is not None:
-                vzones[tag_id] = vzone
+            pipeline = self._extend(tag_id, profile)
+            if pipeline.vzone_sample_count != len(profile):
+                dirty.append((profile, pipeline))
+            detected.append((tag_id, pipeline))
+        self._detect_dirty(dirty)
+        vzones: dict[str, VZone] = {
+            tag_id: pipeline.vzone
+            for tag_id, pipeline in detected
+            if pipeline.vzone is not None
+        }
 
         x_ordering = order_tags_x(vzones, all_tag_ids=expected)
         y_ordering = order_tags_y(
@@ -331,6 +352,7 @@ class LocalizationSession:
                 "window_size": self.config.window_size,
                 "y_value_mode": self.config.y_value_mode,
                 "profile_count": len(profile_map),
+                "vzone_methods": vzone_method_counts(vzones),
                 "streaming": True,
                 "reads_ingested": self.reads_ingested,
             },

@@ -10,15 +10,20 @@ ordering the batch pipeline computes from the same reads.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core import dtw as dtw_module
 from repro.core import (
     BatchLocalizer,
     IncrementalSegmenter,
     PhaseProfile,
     ResumableSegmentAligner,
     STPPConfig,
+    align_resumable_batch,
     segment_profile,
     segmented_dtw_align,
 )
@@ -200,6 +205,144 @@ class TestResumableSegmentAligner:
         aligner = ResumableSegmentAligner(reference_segments)
         with pytest.raises(ValueError, match="query"):
             aligner.align([], 0)
+
+
+def _long_segmentations(count: int) -> list:
+    """Noisy synthetic sweeps long enough for 80-column refreshes."""
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 8.0, 1000)
+    segmentations = []
+    for k in range(count):
+        distance = np.sqrt((0.3 * (times - 2.0 - 0.7 * k)) ** 2 + (0.3 + 0.03 * k) ** 2)
+        phases = np.mod(
+            4.0 * np.pi * distance / 0.3262 + rng.normal(0.0, 0.1, times.size),
+            2.0 * np.pi,
+        )
+        profile = PhaseProfile(tag_id=f"long-{k}", timestamps_s=times, phases_rad=phases)
+        segmentations.append(segment_profile(profile, 5))
+    return segmentations
+
+
+class TestStackedRefresh:
+    """align_resumable_batch: many aligners refreshed together, both kernels."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        """Lane counts of every stacked sweep run during the test."""
+        calls: list[int] = []
+        stacked = dtw_module._sweep_stacked
+
+        def spy(refreshes, rows):
+            calls.append(len(refreshes))
+            return stacked(refreshes, rows)
+
+        monkeypatch.setattr(dtw_module, "_sweep_stacked", spy)
+        return calls
+
+    @staticmethod
+    def _assert_matches_batch(reference, results, queries):
+        for result, query in zip(results, queries, strict=True):
+            expected = segmented_dtw_align(reference, query, subsequence=True)
+            assert result.cost == expected.cost
+            assert result.path == expected.path
+            assert (result.query_start, result.query_end) == (
+                expected.query_start,
+                expected.query_end,
+            )
+
+    def test_mixed_lanes_match_batch_on_both_kernels(self, sweeps):
+        reference = segment_profile(shared_canonical_reference().profile, 5)
+        rows = len(reference)
+        segs = _long_segmentations(6)
+        aligners = [ResumableSegmentAligner(reference) for _ in segs]
+        fresh, resumed_a, resumed_b, reordered, one_seg, two_seg = aligners
+        resumed_a.align(segs[1][:19], 19)
+        resumed_b.align(segs[2][:29], 29)
+        reordered.align(segs[3][:50], 50)
+        reordered.reset()  # what the session does after a late read re-sorts a tag
+        two_seg.align(segs[5][:1], 1)
+        sweeps.clear()  # the set-up refreshes may take either kernel
+
+        # Wide: a fresh lane, resumed lanes gaining 80 and 4 columns, the
+        # reset lane, and one- and two-segment queries.
+        queries = [segs[0][:40], segs[1][:99], segs[2][:33], segs[3][:45], segs[4][:1], segs[5][:2]]
+        new_columns = [40, 80, 4, 45, 1, 1]
+        assert rows * sum(new_columns) >= dtw_module.STACKED_REFRESH_CELLS_PER_STEP * (
+            rows + max(new_columns)
+        ), "retune the wide shapes: they no longer cross the cut-over"
+        stable = [len(q) - 1 for q in queries]
+        results = align_resumable_batch(aligners, queries, stable)
+        assert sweeps == [6]
+        self._assert_matches_batch(reference, results, queries)
+        assert [a.cached_columns for a in aligners] == stable
+
+        # Narrow: every lane grows by one segment (plus its recomputed
+        # volatile tail) — two new columns each, stepped in Python.
+        queries = [q_segs[: len(q) + 1] for q_segs, q in zip(segs, queries)]
+        assert rows * 2 * len(queries) < dtw_module.STACKED_REFRESH_CELLS_PER_STEP * (
+            rows + 2
+        ), "retune the narrow shapes: they no longer stay below the cut-over"
+        results = align_resumable_batch(aligners, queries)
+        assert sweeps == [6]
+        self._assert_matches_batch(reference, results, queries)
+
+        # And wide again from the narrow kernel's cached columns.
+        queries = [q_segs[: len(q) + 60] for q_segs, q in zip(segs, queries)]
+        results = align_resumable_batch(aligners, queries)
+        assert sweeps == [6, 6]
+        self._assert_matches_batch(reference, results, queries)
+
+    def test_single_aligner_takes_the_wide_kernel_on_a_long_catch_up(self, sweeps):
+        reference = segment_profile(shared_canonical_reference().profile, 5)
+        segments = _long_segmentations(1)[0]
+        rows, new = len(reference), len(segments) - 2
+        assert rows * new >= dtw_module.STACKED_REFRESH_CELLS_PER_STEP * (rows + new)
+        aligner = ResumableSegmentAligner(reference)
+        first = aligner.align(segments[:3])  # narrow
+        assert sweeps == []
+        resumed = aligner.align(segments)  # wide: every column past the cache
+        assert sweeps == [1]
+        self._assert_matches_batch(reference, [first, resumed], [segments[:3], segments])
+
+    def test_bench_dtw_refresh_row_is_bit_identical(self):
+        """The narrow-path guard: ``bench_dtw.py``'s streaming-refresh row
+        asserts both kernels bit-identical, and the shape rule keeps the
+        fleet's median refresh (9x9) stacked and a per-round one (2x1) on
+        the Python step."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_dtw.py"
+        spec = importlib.util.spec_from_file_location("bench_dtw", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        rows = bench.streaming_refresh_rows(bench.make_profiles(9), repeats=1)
+        assert {shape: row["kernel_by_shape_rule"] for shape, row in rows.items()} == {
+            "9x9": "stacked",
+            "2x1": "python_step",
+        }
+        assert all(row["bit_identical"] for row in rows.values())
+
+    def test_invalid_request_leaves_every_aligner_untouched(self):
+        reference = segment_profile(shared_canonical_reference().profile, 5)
+        segs = _long_segmentations(2)
+        good, shrinking = (ResumableSegmentAligner(reference) for _ in segs)
+        shrinking.align(segs[1][:10], 10)
+        with pytest.raises(ValueError, match="stable prefix shrank"):
+            align_resumable_batch([good, shrinking], [segs[0][:20], segs[1][:5]])
+        assert good.cached_columns == 0
+        assert shrinking.cached_columns == 10
+
+    def test_rejects_mismatched_requests(self):
+        reference = segment_profile(shared_canonical_reference().profile, 5)
+        segments = _long_segmentations(1)[0]
+        aligner = ResumableSegmentAligner(reference)
+        with pytest.raises(ValueError, match="only once"):
+            align_resumable_batch([aligner, aligner], [segments[:4], segments[:5]])
+        with pytest.raises(ValueError, match="reference length"):
+            align_resumable_batch(
+                [aligner, ResumableSegmentAligner(reference[:-1])],
+                [segments[:4], segments[:4]],
+            )
+        with pytest.raises(ValueError, match="differ in length"):
+            align_resumable_batch([aligner], [segments[:4], segments[:4]])
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +772,9 @@ def test_streaming_final_ordering_is_bit_identical_to_batch(case):
     assert final.final
     _assert_results_identical(final.result, batch_result)
     assert final.result.x_ordering.ordered_ids  # non-degenerate sweep
+    methods = final.result.metadata["vzone_methods"]
+    assert methods == batch_result.metadata["vzone_methods"]
+    assert sum(methods.values()) == len(batch_result.vzones)
 
 
 # ---------------------------------------------------------------------------
