@@ -19,17 +19,6 @@ timed: the headline **static** 200-tag library-style shelf and a **moving**
 warehouse-style conveyor batch that exercises the per-round dense coupling
 filter.
 
-On top of the engine comparison, the harness times the fused engine's
-**physics backends** (``serial`` / ``threads`` / ``process`` — see
-:mod:`repro.rfid.backends`) on three scenes: static, moving, and the
-``dense_hall_10k`` scaling showcase from the scenario catalog.  Physics is
-rng-free and order-free, so every backend must produce bit-identical read
-logs (asserted per scene).  Backend speedups are only meaningful on
-multi-core hosts: on a single-core host the matrix records the timings but
-leaves every ``speedup_*_vs_serial`` field ``null`` and marks
-``parallel_comparison_conclusive: false`` — a ~1x "speedup" measured on one
-core is noise, not evidence.
-
 Baseline caveat: the scalar reference loop shares the batched kernels (one
 ``observe_batch`` call per read), which makes it ~2x slower than the pure
 scalar arithmetic the pre-batching engine used — so scalar-relative speedups
@@ -56,10 +45,7 @@ from pathlib import Path
 
 from repro.bench.store import record_run
 from repro.rf.geometry import Point3D
-from repro.rfid.backends import PHYSICS_BACKENDS, resolve_physics_backend
 from repro.rfid.tag import make_tags
-from repro.scenarios import showcase_registry
-from repro.scenarios.builders import noise_model, scenario_positions, sweep_geometry
 from repro.simulation.collector import collect_sweep
 from repro.simulation.presets import standard_antenna_moving_scene
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
@@ -67,8 +53,6 @@ from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_s
 SEED = 2015
 
 ENGINES = ("scalar", "round", "fused")
-
-DENSE_SPEC_NAME = "dense_hall_10k"
 
 
 def static_scene(tag_count: int):
@@ -87,32 +71,11 @@ def moving_scene(tag_count: int):
     return conveyor_scene(conveyor_batch(config, seed=SEED), seed=SEED)
 
 
-def dense_hall_scene(tag_count: int):
-    """The ``dense_hall_10k`` showcase spec, optionally truncated.
-
-    Loaded through the scenario catalog's showcase registry so the bench
-    exercises the exact committed spec; ``tag_count`` below 10000 slices the
-    grid for smoke runs (CI times a few hundred tags, not the full hall).
-    """
-    spec = showcase_registry().get(DENSE_SPEC_NAME)
-    positions = scenario_positions(spec, SEED)[:tag_count]
-    tags = make_tags(positions, seed=SEED)
-    return standard_antenna_moving_scene(
-        tags,
-        speed_mps=spec.motion.speed_mps,
-        jitter_fraction=spec.motion.jitter_fraction,
-        geometry=sweep_geometry(spec),
-        noise=noise_model(spec),
-        reflector_count=spec.channel.reflector_count,
-        seed=SEED,
-    )
-
-
-def time_sweep(scene_factory, engine: str, physics_backend: str | None = None):
+def time_sweep(scene_factory, engine: str):
     """Build a fresh scene (the protocol is stateful) and time one sweep."""
     scene = scene_factory()
     started = time.perf_counter()
-    result = collect_sweep(scene, engine=engine, physics_backend=physics_backend)
+    result = collect_sweep(scene, engine=engine)
     return time.perf_counter() - started, result.read_log
 
 
@@ -150,49 +113,6 @@ def bench_case(name: str, scene_factory) -> dict:
     }
 
 
-def bench_backend_case(name: str, scene_factory, conclusive: bool) -> dict:
-    """Time the fused engine under every physics backend on one scene.
-
-    Bit-identity across backends is always asserted; the speedup ratios are
-    recorded only when ``conclusive`` (multi-core host) — otherwise they are
-    ``null``, never a misleading ~1x.
-    """
-    timings = {}
-    logs = {}
-    for backend in PHYSICS_BACKENDS:
-        timings[backend], logs[backend] = time_sweep(
-            scene_factory, "fused", physics_backend=backend
-        )
-    for backend in PHYSICS_BACKENDS[1:]:
-        if logs[backend].reads != logs["serial"].reads:
-            raise AssertionError(
-                f"{name}: {backend} and serial backend read logs diverged — "
-                "physics is no longer order-free"
-            )
-
-    def ratio(backend: str) -> float | None:
-        if not conclusive:
-            return None
-        return timings["serial"] / max(timings[backend], 1e-9)
-
-    verdict = "conclusive" if conclusive else "single-core, inconclusive"
-    print(
-        f"{name:>10}: serial {timings['serial']:7.2f} s | "
-        f"threads {timings['threads']:7.2f} s | "
-        f"process {timings['process']:7.2f} s | "
-        f"{len(logs['serial'])} reads, bit-identical ({verdict})"
-    )
-    return {
-        "serial_s": timings["serial"],
-        "threads_s": timings["threads"],
-        "process_s": timings["process"],
-        "speedup_threads_vs_serial": ratio("threads"),
-        "speedup_process_vs_serial": ratio("process"),
-        "reads": len(logs["serial"]),
-        "results_bit_identical": True,
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -202,11 +122,6 @@ def main() -> None:
     parser.add_argument(
         "--moving-tags", type=int, default=24,
         help="cartons in the moving conveyor scene (default 24)",
-    )
-    parser.add_argument(
-        "--dense-tags", type=int, default=10_000,
-        help="tags sliced from the dense_hall_10k showcase grid "
-        "(default 10000; CI smoke passes a few hundred)",
     )
     parser.add_argument("--out", type=Path, default=Path("BENCH_sweep.json"))
     parser.add_argument(
@@ -224,48 +139,15 @@ def main() -> None:
     static = bench_case("static", lambda: static_scene(args.tags))
     moving = bench_case("moving", lambda: moving_scene(args.moving_tags))
 
-    cpu_count = os.cpu_count() or 1
-    conclusive = cpu_count > 1
-    print(
-        f"physics backends ({cpu_count} core(s), "
-        f"{'conclusive' if conclusive else 'speedups inconclusive'}) | "
-        f"dense hall: {args.dense_tags} tags"
-    )
-    backends = {
-        "static": {
-            "tag_count": args.tags,
-            **bench_backend_case("static", lambda: static_scene(args.tags), conclusive),
-        },
-        "moving": {
-            "carton_count": args.moving_tags,
-            **bench_backend_case(
-                "moving", lambda: moving_scene(args.moving_tags), conclusive
-            ),
-        },
-        "dense_hall": {
-            "tag_count": args.dense_tags,
-            "spec": DENSE_SPEC_NAME,
-            **bench_backend_case(
-                "dense_hall", lambda: dense_hall_scene(args.dense_tags), conclusive
-            ),
-        },
-    }
-
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "platform": platform.platform(),
         "seed": SEED,
-        "cpu_count": cpu_count,
-        "parallel_comparison_conclusive": conclusive,
-        "physics_chunk_events": {
-            backend: getattr(resolve_physics_backend(backend), "chunk_events", None)
-            for backend in PHYSICS_BACKENDS
-        },
+        "cpu_count": os.cpu_count() or 1,
         "scenes": {
             "static": {"tag_count": args.tags, **static},
             "moving": {"carton_count": args.moving_tags, **moving},
         },
-        "backends": backends,
         # Headline fields for the static scene: the per-round engine's win
         # over the scalar loop, and the fused engine's win over per-round.
         "speedup_batched_vs_scalar": static["speedup_batched_vs_scalar"],
@@ -286,18 +168,13 @@ def main() -> None:
             source="bench_sweep",
             metrics={
                 "scenes": payload["scenes"],
-                # None speedups (single-core hosts) are skipped by the
-                # flattener — the ledger records timings, never ~1x noise.
-                "backends": payload["backends"],
-                "cpu_count": cpu_count,
-                "parallel_comparison_conclusive": conclusive,
+                "cpu_count": payload["cpu_count"],
                 "speedup_batched_vs_scalar": payload["speedup_batched_vs_scalar"],
                 "speedup_fused_vs_round": payload["speedup_fused_vs_round"],
             },
             scale={
                 "static_tags": args.tags,
                 "moving_cartons": args.moving_tags,
-                "dense_tags": args.dense_tags,
             },
             history=args.history,
             timestamp=payload["generated_at"],

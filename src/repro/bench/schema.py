@@ -161,22 +161,7 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
             "scenes.static.scalar_s",
             "scenes.static.fused_s",
             "scenes.static.speedup_batched_vs_scalar",
-            # Physics-backend matrix (PR 8); optional so pre-upgrade
-            # snapshots keep validating.  Speedup fields are null on
-            # single-core hosts ("not measured", never ~1x noise).
             "cpu_count",
-            "backends.static.serial_s",
-            "backends.static.threads_s",
-            "backends.static.process_s",
-            "backends.static.speedup_threads_vs_serial",
-            "backends.static.speedup_process_vs_serial",
-            "backends.moving.serial_s",
-            "backends.moving.threads_s",
-            "backends.moving.process_s",
-            "backends.dense_hall.serial_s",
-            "backends.dense_hall.threads_s",
-            "backends.dense_hall.process_s",
-            "backends.dense_hall.tag_count",
         ),
     ),
     "dtw": SnapshotSchema(
@@ -205,11 +190,9 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
         },
         numeric_paths=(
             "timings_s.serial",
-            "timings_s.pipeline",
             "stage_breakdown_s.simulate",
             "speedup_simulate_vs_pr4",
             "speedup_sharded_vs_serial",
-            "speedup_pipeline_vs_serial",
         ),
     ),
     "streaming": SnapshotSchema(

@@ -28,7 +28,7 @@ Three sweep implementations share one RF kernel:
   :meth:`~repro.rf.channel.BackscatterChannel.observe_batch`, with coupling
   neighbours found via a spatial hash
   (:class:`~repro.rfid.coupling.NeighborGrid`) for static layouts;
-* the **scalar** path (``batched=False`` / ``engine="scalar"``) is the
+* the **scalar** path (``engine="scalar"``) is the
   original read-at-a-time reference loop.
 
 All three consume the shared random generator in the identical order (one
@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +53,6 @@ from ..rf.geometry import Point3D, euclidean_distances
 from ..rf.multipath import Reflector
 from ..rf.phase_model import DeviceOffsets
 from .aloha import FrameSlottedAloha, SlotOutcome
-from .backends import resolve_physics_backend
 from .coupling import NeighborGrid
 from .event_table import SweepEventTable
 from .reading import ReadBatch, ReadLog, TagRead
@@ -412,22 +410,14 @@ class RFIDReader:
         self,
         config: ReaderConfig | None = None,
         protocol: FrameSlottedAloha | None = None,
-        physics_backend: object | None = None,
     ) -> None:
         self.config = config if config is not None else ReaderConfig()
         self.protocol = protocol if protocol is not None else FrameSlottedAloha()
-        self.physics_backend = resolve_physics_backend(physics_backend)
-        """How the fused engine's physics pass executes: ``serial`` (default),
-        ``threads``, ``process``, or a custom backend instance — see
-        :mod:`repro.rfid.backends`.  All backends are bit-identical; the
-        default honours the ``REPRO_PHYSICS_BACKEND`` environment variable."""
-
         self._per_tag_channels: dict[str, BackscatterChannel] = {}
         self.last_sweep_stats: dict = {}
         """Diagnostics of the most recent fused sweep: optimistic attempts,
-        rolled-back rounds, whether the per-round fallback engaged, the
-        physics backend and its chunk count, and the scheduling-vs-physics
-        wall-time split."""
+        rolled-back rounds, whether the per-round fallback engaged, and the
+        scheduling-vs-physics wall-time split."""
 
     def _device_offsets_for(self, tag: Tag) -> DeviceOffsets:
         """Eq. (1) ``mu`` components for one tag behind this reader."""
@@ -465,9 +455,7 @@ class RFIDReader:
         duration_s: float,
         tag_position: TagPositionFn | None = None,
         rng: np.random.Generator | None = None,
-        batched: bool = True,
-        engine: str | None = None,
-        physics_backend: object | None = None,
+        engine: str = "fused",
     ) -> ReadLog:
         """Run inventory rounds for ``duration_s`` seconds and return the read log.
 
@@ -485,24 +473,14 @@ class RFIDReader:
             the static positions stored in ``tags`` (antenna-moving case).
         rng:
             Random generator controlling slot choices, noise, and dropouts.
-        batched:
-            Back-compat switch: ``False`` forces the scalar reference loop.
         engine:
             Which sweep engine to run — ``"fused"`` (default: two-phase
             scheduling + whole-sweep physics), ``"round"`` (the per-round
             batched kernel), or ``"scalar"`` (the read-at-a-time reference
-            loop).  All three produce bit-identical logs from the same seed;
-            an explicit ``engine`` overrides ``batched``.
-        physics_backend:
-            Per-sweep override of the reader's physics backend (name or
-            instance, see :mod:`repro.rfid.backends`); only the fused engine
-            has a parallelisable physics phase, the other engines ignore it.
-            All backends produce bit-identical logs.
+            loop).  All three produce bit-identical logs from the same seed.
         """
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
-        if engine is None:
-            engine = "fused" if batched else "scalar"
         if engine not in _SWEEP_ENGINES:
             raise ValueError(
                 f"engine must be one of {_SWEEP_ENGINES}, got {engine!r}"
@@ -510,8 +488,7 @@ class RFIDReader:
         rng = rng if rng is not None else np.random.default_rng()
         if engine == "fused":
             return self.sweep_events(
-                tags, antenna_position, duration_s, tag_position, rng,
-                physics_backend=physics_backend,
+                tags, antenna_position, duration_s, tag_position, rng
             ).to_read_log()
         if engine == "round":
             return self._sweep_batched(tags, antenna_position, duration_s, tag_position, rng)
@@ -950,7 +927,6 @@ class RFIDReader:
         duration_s: float,
         tag_position: TagPositionFn | None = None,
         rng: np.random.Generator | None = None,
-        physics_backend: object | None = None,
     ) -> SweepEventTable:
         """Run the fused two-phase sweep and return its completed event table.
 
@@ -980,11 +956,6 @@ class RFIDReader:
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
         rng = rng if rng is not None else np.random.default_rng()
-        backend = (
-            self.physics_backend
-            if physics_backend is None
-            else resolve_physics_backend(physics_backend)
-        )
         setup = self._sweep_setup(tags, tag_position, antenna_position)
         noise = self.config.channel.noise
 
@@ -995,8 +966,6 @@ class RFIDReader:
             "attempts": 0,
             "rolled_back_rounds": 0,
             "per_round_fallback": False,
-            "backend": backend.name,
-            "physics_chunks": 0,
             "scheduling_s": 0.0,
             "physics_s": 0.0,
         }
@@ -1015,9 +984,7 @@ class RFIDReader:
                 candidate = scheduler.resume(resume_round, corrections)
             tock = time.perf_counter()
             stats["scheduling_s"] += tock - tick
-            stats["physics_chunks"] += self._observe_events(
-                setup, antenna_position, candidate, backend
-            )
+            self._observe_events(setup, antenna_position, candidate)
             stats["physics_s"] += time.perf_counter() - tock
             stats["attempts"] = attempt + 1
             if noise.random_dropout_probability == 0.0:
@@ -1160,24 +1127,25 @@ class RFIDReader:
             extra_index,
         )
 
-    def _observe_event_range(
+    def _observe_events(
         self,
         setup: "_SweepSetup",
         antenna_position: AntennaPositionFn,
         table: SweepEventTable,
-        start: int,
-        stop: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Physics of event rows ``[start, stop)``: the backend chunk kernel.
+    ) -> None:
+        """Phase 2: physics over the whole event table in one fused pass.
 
-        Every per-event observable depends only on that event's own row, so
-        evaluating any row range yields exactly the rows the whole-table pass
-        would — the invariant that makes the parallel backends bit-identical
-        (pinned by the chunk-boundary property tests).  Returns the chunk's
-        ``(phase, rssi, readable, deep_fade)`` columns.
+        Fills the table's ``phase_rad``/``rssi_dbm``/``readable``/
+        ``deep_fade`` columns in place.  The pass is rng-free and every
+        observable depends only on its own event row.
         """
-        times = table.times_s[start:stop]
-        tag_indices = table.tag_indices[start:stop]
+        if len(table) == 0:
+            table.phase_rad = np.empty(0)
+            table.rssi_dbm = np.empty(0)
+            table.readable = np.empty(0, dtype=bool)
+            table.deep_fade = np.empty(0, dtype=bool)
+            return
+        tag_indices = table.tag_indices
         (
             antenna_rows,
             event_tag_positions,
@@ -1185,66 +1153,23 @@ class RFIDReader:
             extra_coefficients,
             extra_decays,
             extra_index,
-        ) = self._event_geometry(setup, antenna_position, times, tag_indices)
+        ) = self._event_geometry(setup, antenna_position, table.times_s, tag_indices)
         observation, deep_fade = self.config.channel.observe_sweep(
             antenna_rows,
             event_tag_positions,
-            dropped=table.dropped[start:stop],
-            phase_noise=table.phase_noise_rad[start:stop],
-            rssi_noise=table.rssi_noise_db[start:stop],
+            dropped=table.dropped,
+            phase_noise=table.phase_noise_rad,
+            rssi_noise=table.rssi_noise_db,
             device_offsets_total=setup.mu_by_tag[tag_indices],
             extra_positions=extra_positions,
             extra_coefficients=extra_coefficients,
             extra_decays=extra_decays,
             extra_event_index=extra_index,
         )
-        return observation.phase_rad, observation.rssi_dbm, observation.readable, deep_fade
-
-    def _observe_events(
-        self,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        table: SweepEventTable,
-        backend: object,
-    ) -> int:
-        """Phase 2: physics over the whole event table, in place.
-
-        The table's rows are split into the backend's chunk bounds, each chunk
-        evaluated by :meth:`_observe_event_range`, and the results stitched
-        back in chunk order — bitwise the single fused pass, whatever the
-        chunking.  Returns the number of chunks dispatched.
-        """
-        count = len(table)
-        if count == 0:
-            table.phase_rad = np.empty(0)
-            table.rssi_dbm = np.empty(0)
-            table.readable = np.empty(0, dtype=bool)
-            table.deep_fade = np.empty(0, dtype=bool)
-            return 0
-        bounds = backend.chunk_bounds(count)
-        if len(bounds) <= 1:
-            results = [self._observe_event_range(setup, antenna_position, table, 0, count)]
-        else:
-            # Populate the providers' lazily-filled caches before fan-out so
-            # parallel chunk kernels only ever read them.
-            warm = getattr(setup.provider, "initial_array", None)
-            if warm is not None:
-                warm(setup.ids)
-            _event_indices(min(max(stop - start for start, stop in bounds), count))
-            kernel = partial(_physics_chunk, self, setup, antenna_position, table)
-            results = backend.map_chunks(kernel, bounds)
-        if len(results) == 1:
-            phase, rssi, readable, deep_fade = results[0]
-        else:
-            phase = np.concatenate([chunk[0] for chunk in results])
-            rssi = np.concatenate([chunk[1] for chunk in results])
-            readable = np.concatenate([chunk[2] for chunk in results])
-            deep_fade = np.concatenate([chunk[3] for chunk in results])
-        table.phase_rad = phase
-        table.rssi_dbm = rssi
-        table.readable = readable
+        table.phase_rad = observation.phase_rad
+        table.rssi_dbm = observation.rssi_dbm
+        table.readable = observation.readable
         table.deep_fade = deep_fade
-        return len(bounds)
 
     def _sweep_table_per_round(
         self,
@@ -1352,19 +1277,3 @@ class RFIDReader:
             readable=_column(9, dtype=bool),
         )
 
-
-def _physics_chunk(
-    reader: RFIDReader,
-    setup: _SweepSetup,
-    antenna_position: AntennaPositionFn,
-    table: SweepEventTable,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Module-level chunk kernel the backends dispatch (picklable via partial).
-
-    Thread backends call it in-process; the process backend pickles the bound
-    arguments (reader, setup, antenna provider, event table) to its workers.
-    Either way it is a pure function of the chunk's rows.
-    """
-    return reader._observe_event_range(setup, antenna_position, table, start, stop)

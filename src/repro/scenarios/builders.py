@@ -101,16 +101,6 @@ def reference_grid_for(
 # --------------------------------------------------------------------------
 
 
-def scenario_positions(spec: ScenarioSpec, seed: int) -> list[Point3D]:
-    """One repetition's tag positions for the position-list layout kinds.
-
-    Public wrapper of the internal layout dispatch so benchmarks (e.g. the
-    dense-hall backend-scaling scene) can materialise a registered spec's
-    geometry without scoring a full :class:`SweepExperiment`.
-    """
-    return _layout_positions(spec, seed)
-
-
 def _layout_positions(spec: ScenarioSpec, seed: int) -> list[Point3D]:
     """Tag positions of one repetition for the position-list layout kinds."""
     layout = spec.layout

@@ -49,44 +49,44 @@ def assert_logs_identical(batched: ReadLog, scalar: ReadLog) -> None:
 
 
 class TestBatchedScalarEquivalence:
-    """Batched sweeps are bit-identical to the scalar loop on all workloads."""
+    """Fused sweeps are bit-identical to the scalar loop on all workloads."""
 
     def test_library_workload(self):
         # The librarian case: hand-pushed antenna over a static bookshelf.
         shelf = generate_bookshelf(levels=2, books_per_level=6, seed=21)
         tags = shelf.to_tags(seed=21)
-        batched = collect_sweep(
-            standard_antenna_moving_scene(tags, seed=21), batched=True
+        fused = collect_sweep(
+            standard_antenna_moving_scene(tags, seed=21), engine="fused"
         )
         scalar = collect_sweep(
-            standard_antenna_moving_scene(tags, seed=21), batched=False
+            standard_antenna_moving_scene(tags, seed=21), engine="scalar"
         )
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
+        assert len(fused.read_log) > 0
+        assert_logs_identical(fused.read_log, scalar.read_log)
 
     def test_airport_workload(self):
         # The baggage case: static antenna, bags riding a constant-speed belt.
         batch = baggage_batch(MORNING_PEAK, bag_count=6, seed=22)
-        batched = collect_sweep(
-            standard_tag_moving_scene(batch.tags, seed=22), batched=True
+        fused = collect_sweep(
+            standard_tag_moving_scene(batch.tags, seed=22), engine="fused"
         )
         scalar = collect_sweep(
-            standard_tag_moving_scene(batch.tags, seed=22), batched=False
+            standard_tag_moving_scene(batch.tags, seed=22), engine="scalar"
         )
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
+        assert len(fused.read_log) > 0
+        assert_logs_identical(fused.read_log, scalar.read_log)
 
     def test_warehouse_workload(self):
         # The sortation case: multi-lane cartons on a surging/crawling belt.
         config = ConveyorConfig(lanes=2, cartons_per_lane=3)
-        batched = collect_sweep(
-            conveyor_scene(conveyor_batch(config, seed=23), seed=23), batched=True
+        fused = collect_sweep(
+            conveyor_scene(conveyor_batch(config, seed=23), seed=23), engine="fused"
         )
         scalar = collect_sweep(
-            conveyor_scene(conveyor_batch(config, seed=23), seed=23), batched=False
+            conveyor_scene(conveyor_batch(config, seed=23), seed=23), engine="scalar"
         )
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
+        assert len(fused.read_log) > 0
+        assert_logs_identical(fused.read_log, scalar.read_log)
 
     def test_moving_tags_with_coupling_disabled(self):
         # Coupling off on a moving layout takes the diagonal-only position
@@ -106,10 +106,10 @@ class TestBatchedScalarEquivalence:
                 ),
             )
 
-        batched = collect_sweep(make_scene(), batched=True)
-        scalar = collect_sweep(make_scene(), batched=False)
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
+        fused = collect_sweep(make_scene(), engine="fused")
+        scalar = collect_sweep(make_scene(), engine="scalar")
+        assert len(fused.read_log) > 0
+        assert_logs_identical(fused.read_log, scalar.read_log)
 
     def test_plain_callable_positions_fall_back_correctly(self):
         # A caller-supplied closure (no array-native provider) must still be
@@ -139,10 +139,10 @@ class TestBatchedScalarEquivalence:
                 seed=4,
             )
 
-        batched = collect_sweep(make_scene(), batched=True)
-        scalar = collect_sweep(make_scene(), batched=False)
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
+        fused = collect_sweep(make_scene(), engine="fused")
+        scalar = collect_sweep(make_scene(), engine="scalar")
+        assert len(fused.read_log) > 0
+        assert_logs_identical(fused.read_log, scalar.read_log)
 
 
 class TestSweepGoldenTrace:

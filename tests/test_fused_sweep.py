@@ -180,11 +180,14 @@ class TestOptimisticScheduleRollback:
         assert stats["attempts"] == 1
         assert stats["rolled_back_rounds"] == 0
         assert stats["per_round_fallback"] is False
-        # PR 8: the stats also name the physics backend and the wall split.
-        # The backend may come from REPRO_PHYSICS_BACKEND (CI forces threads),
-        # so pin against the reader's resolved backend, not a literal.
-        assert stats["backend"] == reader.physics_backend.name
-        assert stats["physics_chunks"] >= 1
+        # The stats also carry the scheduling-vs-physics wall split.
+        assert set(stats) == {
+            "attempts",
+            "rolled_back_rounds",
+            "per_round_fallback",
+            "scheduling_s",
+            "physics_s",
+        }
         assert stats["scheduling_s"] > 0.0
         assert stats["physics_s"] > 0.0
 

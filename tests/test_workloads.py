@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import workloads
+from repro.workloads import airport, layouts, library, warehouse
 from repro.workloads.airport import (
     MIDDAY_OFF_PEAK,
     MORNING_PEAK,
@@ -148,3 +150,26 @@ class TestAirport:
             baggage_batch(MORNING_PEAK, 0)
         with pytest.raises(ValueError):
             period_batches(MORNING_PEAK, bags_per_batch=0)
+
+
+class TestPackageSurface:
+    def test_star_import_emits_no_deprecation_warning(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            namespace: dict = {}
+            exec("from repro.workloads import *", namespace)
+        assert "conveyor_scene" in namespace
+
+    @pytest.mark.parametrize("name", sorted(workloads.__all__))
+    def test_exported_name_is_a_submodule_object(self, name):
+        # Every public name resolves without a warning to the very object
+        # one of the workload modules defines: no lazy shims in __all__.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = getattr(workloads, name)
+        modules = (airport, layouts, library, warehouse)
+        assert any(getattr(module, name, None) is value for module in modules)
