@@ -1,30 +1,27 @@
-"""Sweep-simulation timing harness: fused vs per-round vs scalar engines.
+"""Sweep-simulation timing harness: the fused engine vs its scalar reference.
 
-Simulates the same scenes through all three :class:`~repro.rfid.reader.RFIDReader`
+Simulates the same scenes through both :class:`~repro.rfid.reader.RFIDReader`
 sweep engines:
 
 * ``scalar`` — the read-at-a-time reference loop (one ``observe`` per
   decoded reply, whole-population coupling scan per read);
-* ``round``  — the per-round batched engine (structure-of-arrays RF kernel
-  per inventory round, spatial-hash coupling lookups, array-native motion
-  sampling, columnar read log);
-* ``fused``  — the two-phase engine (PR 5): a scheduling pass owns every rng
-  draw and emits a whole-sweep event table, then one fused NumPy pass
-  evaluates all rounds' physics together.
+* ``fused``  — the two-phase engine: a scheduling pass owns every rng draw
+  and emits a whole-sweep event table, then one fused NumPy pass evaluates
+  all rounds' physics together (spatial-hash coupling lookups, array-native
+  motion sampling, columnar read log).
 
-All engines consume the shared random generator in the identical order, so
+Both engines consume the shared random generator in the identical order, so
 the read logs are **bit-identical** (asserted here and pinned by
 ``tests/test_fused_sweep.py``); only the wall clock differs.  Two scenes are
 timed: the headline **static** 200-tag library-style shelf and a **moving**
-warehouse-style conveyor batch that exercises the per-round dense coupling
-filter.
+warehouse-style conveyor batch that exercises the dense coupling filter.
 
 Baseline caveat: the scalar reference loop shares the batched kernels (one
 ``observe_batch`` call per read), which makes it ~2x slower than the pure
-scalar arithmetic the pre-batching engine used — so scalar-relative speedups
-overstate the win over the pre-PR-3 engine by about that factor.  The
-``speedup_fused_vs_round`` field has no such caveat: both engines are real
-shipped paths, and the ratio isolates the whole-sweep fusion win.
+scalar arithmetic the pre-batching engine used — so the scalar-relative
+speedup overstates the win over that engine by about that factor.  Both
+timings come from the same run on the same host, so the ratio itself does
+not depend on the machine it was recorded on.
 
 Results are written to ``BENCH_sweep.json`` so the speedups are tracked PR
 over PR; CI asserts floors on the recorded speedup fields.
@@ -52,7 +49,7 @@ from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_s
 
 SEED = 2015
 
-ENGINES = ("scalar", "round", "fused")
+ENGINES = ("scalar", "fused")
 
 
 def static_scene(tag_count: int):
@@ -80,34 +77,26 @@ def time_sweep(scene_factory, engine: str):
 
 
 def bench_case(name: str, scene_factory) -> dict:
-    """Time all three engines on one scene; assert bit-identical logs."""
+    """Time both engines on one scene; assert bit-identical logs."""
     timings = {}
     logs = {}
     for engine in ENGINES:
         timings[engine], logs[engine] = time_sweep(scene_factory, engine)
-    for engine in ("round", "fused"):
-        if logs[engine].reads != logs["scalar"].reads:
-            raise AssertionError(
-                f"{name}: {engine} and scalar read logs diverged — engine bug"
-            )
-    round_vs_scalar = timings["scalar"] / max(timings["round"], 1e-9)
+    if logs["fused"].reads != logs["scalar"].reads:
+        raise AssertionError(
+            f"{name}: fused and scalar read logs diverged — engine bug"
+        )
     fused_vs_scalar = timings["scalar"] / max(timings["fused"], 1e-9)
-    fused_vs_round = timings["round"] / max(timings["fused"], 1e-9)
     print(
         f"{name:>8}: scalar {timings['scalar']:7.2f} s | "
-        f"round {timings['round']:7.2f} s | fused {timings['fused']:7.2f} s | "
-        f"fused/round {fused_vs_round:5.1f}x | "
+        f"fused {timings['fused']:7.2f} s | "
+        f"fused/scalar {fused_vs_scalar:5.1f}x | "
         f"{len(logs['fused'])} reads, bit-identical"
     )
     return {
         "scalar_s": timings["scalar"],
-        "round_s": timings["round"],
         "fused_s": timings["fused"],
-        # Back-compat name: "batched" is the per-round engine.
-        "batched_s": timings["round"],
-        "speedup_batched_vs_scalar": round_vs_scalar,
         "speedup_fused_vs_scalar": fused_vs_scalar,
-        "speedup_fused_vs_round": fused_vs_round,
         "reads": len(logs["fused"]),
         "results_bit_identical": True,
     }
@@ -148,16 +137,11 @@ def main() -> None:
             "static": {"tag_count": args.tags, **static},
             "moving": {"carton_count": args.moving_tags, **moving},
         },
-        # Headline fields for the static scene: the per-round engine's win
-        # over the scalar loop, and the fused engine's win over per-round.
-        "speedup_batched_vs_scalar": static["speedup_batched_vs_scalar"],
-        "speedup_fused_vs_round": static["speedup_fused_vs_round"],
         "baseline_note": (
             "scalar = the in-tree reference loop (one observe_batch call per "
             "read); it is ~2x slower than the pre-batching pure-scalar "
-            "engine, so scalar-relative speedups overstate the win over the "
-            "pre-PR-3 engine by roughly that factor.  fused-vs-round has no "
-            "such caveat: both are shipped engines."
+            "engine, so the fused-vs-scalar speedup overstates the win over "
+            "that engine by roughly that factor."
         ),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -169,8 +153,6 @@ def main() -> None:
             metrics={
                 "scenes": payload["scenes"],
                 "cpu_count": payload["cpu_count"],
-                "speedup_batched_vs_scalar": payload["speedup_batched_vs_scalar"],
-                "speedup_fused_vs_round": payload["speedup_fused_vs_round"],
             },
             scale={
                 "static_tags": args.tags,

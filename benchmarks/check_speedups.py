@@ -3,10 +3,9 @@
 CI runs this after the benchmark passes so a regression that erodes an
 engine's recorded win fails the build instead of silently shipping:
 
-* ``BENCH_sweep.json``        — the round-batched RF sweep kernel must beat
-                                the scalar per-read path on the static scene,
-                                and the fused two-phase engine must beat the
-                                per-round engine;
+* ``BENCH_sweep.json``        — the fused two-phase sweep engine must beat
+                                the scalar per-read reference loop on the
+                                static scene, both timed in the same run;
 * ``BENCH_dtw.json``          — the batched DTW engine must beat the seed's
                                 pure-Python per-tag loop, and the end-to-end
                                 localize overhead must stay under the ceiling
@@ -35,11 +34,11 @@ Every file also has to carry ``results_bit_identical: true`` where the field
 exists: a speedup from an engine that changed the results is not a speedup.
 
 Run with:
-  python benchmarks/check_speedups.py [--only sweep] [--sweep-floor 5.0] ...
+  python benchmarks/check_speedups.py [--only sweep] [--sweep-floor 7.5] ...
 
 Missing files are skipped with a note (each benchmark is recorded by its own
 ``make bench-*`` target), so the check degrades gracefully on fresh clones.
-Fields introduced by later PRs (e.g. the fused-sweep speedup) are only
+Fields introduced by later PRs (e.g. the localize-overhead ceiling) are only
 enforced when present, so the checker still validates pre-upgrade records.
 Every present file is first validated against its snapshot schema
 (``repro.bench.schema``, shared with ``check_accuracy.py``): a floor check
@@ -82,29 +81,21 @@ def _require(condition: bool, message: str) -> None:
         FAILURES.append(message)
 
 
-def check_sweep(path: Path, floor: float, fused_floor: float) -> None:
-    print(f"sweep kernel ({path}):")
+def check_sweep(path: Path, floor: float) -> None:
+    print(f"sweep engine ({path}):")
     payload = _load(path, "sweep")
     if payload is None:
         return
     static = payload["scenes"]["static"]
-    speedup = float(static["speedup_batched_vs_scalar"])
+    speedup = float(static["speedup_fused_vs_scalar"])
     _require(
         speedup >= floor,
-        f"static-scene batched-vs-scalar speedup {speedup:.2f}x >= {floor}x",
+        f"static-scene fused-vs-scalar speedup {speedup:.2f}x >= {floor}x",
     )
-    if "speedup_fused_vs_round" in static:
-        fused = float(static["speedup_fused_vs_round"])
-        _require(
-            fused >= fused_floor,
-            f"static-scene fused-vs-round speedup {fused:.2f}x >= {fused_floor}x",
-        )
-    else:
-        print("  skip: no fused-engine record (pre-PR-5 file) — no fused floor applied")
     for scene_name, scene in payload["scenes"].items():
         _require(
             bool(scene.get("results_bit_identical")),
-            f"{scene_name} scene: all engines' logs bit-identical",
+            f"{scene_name} scene: fused and scalar logs bit-identical",
         )
 
 
@@ -225,15 +216,10 @@ def main() -> None:
         "--streaming", type=Path, default=Path("BENCH_streaming.json")
     )
     parser.add_argument(
-        "--sweep-floor", type=float, default=5.0,
-        help="minimum static-scene sweep speedup (default 5.0; the acceptance "
-        "floor for the recorded 200-tag scene — smoke runs pass a lower one)",
-    )
-    parser.add_argument(
-        "--sweep-fused-floor", type=float, default=1.5,
-        help="minimum static-scene fused-vs-round speedup (default 1.5; the "
-        "recorded 200-tag scene sits above 2x — smoke scenes are smaller, so "
-        "the default floor is conservative)",
+        "--sweep-floor", type=float, default=7.5,
+        help="minimum static-scene fused-vs-scalar speedup (default 7.5; the "
+        "acceptance floor for the recorded 200-tag scene — smoke runs pass a "
+        "lower one)",
     )
     parser.add_argument("--dtw-floor", type=float, default=5.0)
     parser.add_argument(
@@ -278,7 +264,7 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.only in (None, "sweep"):
-        check_sweep(args.sweep, args.sweep_floor, args.sweep_fused_floor)
+        check_sweep(args.sweep, args.sweep_floor)
     if args.only in (None, "dtw"):
         check_dtw(args.dtw, args.dtw_floor, args.dtw_overhead_ceiling)
     if args.only in (None, "experiments"):

@@ -69,7 +69,7 @@ class BenchRecord:
     source:
         The producing harness, e.g. ``"bench_sweep"`` or ``"bench_accuracy"``.
     metric:
-        Dotted metric name, e.g. ``"static.speedup_fused_vs_round"`` or
+        Dotted metric name, e.g. ``"scenes.static.fused_s"`` or
         ``"library.STPP.combined"``.
     value:
         The measurement (finite float; bools are recorded as 0.0/1.0).
@@ -153,14 +153,11 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
             "platform": str,
             "seed": _NUMBER,
             "scenes": dict,
-            "speedup_batched_vs_scalar": _NUMBER,
         },
         numeric_paths=(
-            "speedup_batched_vs_scalar",
-            "speedup_fused_vs_round",
             "scenes.static.scalar_s",
             "scenes.static.fused_s",
-            "scenes.static.speedup_batched_vs_scalar",
+            "scenes.static.speedup_fused_vs_scalar",
             "cpu_count",
         ),
     ),

@@ -28,8 +28,8 @@ def _unit_boresight_components(
     """Normalised boresight components, cached per distinct boresight tuple.
 
     The antenna dataclass is frozen (and slotted), so the normalisation is a
-    pure function of the field value; caching it keeps the per-round RF
-    kernel from re-normalising the same vector for every batch.
+    pure function of the field value; caching it keeps the batched RF kernel
+    from re-normalising the same vector for every batch.
     """
     v = np.asarray(boresight, dtype=float)
     v = v / np.linalg.norm(v)

@@ -258,39 +258,6 @@ class BackscatterChannel:
             readable=readable,
         )
 
-    def observe_sweep(
-        self,
-        antenna_positions: np.ndarray,
-        tag_positions: np.ndarray,
-        *,
-        dropped: np.ndarray,
-        phase_noise: np.ndarray,
-        rssi_noise: np.ndarray,
-        device_offsets_total: "float | np.ndarray | None" = None,
-        extra_positions: np.ndarray | None = None,
-        extra_coefficients: np.ndarray | None = None,
-        extra_decays: np.ndarray | None = None,
-        extra_event_index: np.ndarray | None = None,
-    ) -> tuple[BatchObservation, np.ndarray]:
-        """Phase 2 of the fused sweep: all rounds' physics in one pass.
-
-        Takes the noise columns the scheduling phase pre-drew and returns the
-        observation plus the exact deep-fade booleans, which the reader
-        compares against the booleans the scheduler *assumed* when drawing
-        (rolling back the generator when they disagree).
-        """
-        physics = self.sweep_physics(
-            antenna_positions,
-            tag_positions,
-            device_offsets_total=device_offsets_total,
-            extra_positions=extra_positions,
-            extra_coefficients=extra_coefficients,
-            extra_decays=extra_decays,
-            extra_event_index=extra_event_index,
-        )
-        observation = self.observe_scheduled(physics, dropped, phase_noise, rssi_noise)
-        return observation, physics.deep_fade
-
     def observe_batch(
         self,
         antenna_positions: np.ndarray,

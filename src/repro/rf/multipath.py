@@ -30,8 +30,8 @@ def _stacked_reflectors(
 
     ``decays`` holds ``nan`` for plain surface reflectors.  Reflectors are
     frozen dataclasses, so the stacking is a pure function of the tuple and is
-    cached — the per-round RF kernel would otherwise rebuild these arrays for
-    every inventory round.  Callers must treat the arrays as read-only.
+    cached — the batched RF kernel would otherwise rebuild these arrays for
+    every call (once per read on the scalar reference path).  Callers must treat the arrays as read-only.
     """
     positions = np.array(
         [[r.position.x, r.position.y, r.position.z] for r in reflectors]

@@ -153,7 +153,7 @@ class LinkBudget:
 
         ``forward_powers_dbm``/``reverse_powers_dbm``/``replies_decodable``
         each re-derive the same distances, antenna gains, and path losses;
-        the per-round RF kernel needs both the RSSI and the decodable mask,
+        the batched RF kernel needs both the RSSI and the decodable mask,
         so this computes the shared geometry a single time.  Each output is
         produced by the identical per-element expression the standalone
         methods use, so results are bit-identical to calling them separately.

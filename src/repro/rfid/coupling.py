@@ -10,13 +10,13 @@ radius: any point within the radius of a query point lives in one of the 27
 cells surrounding the query's cell, so a bucket lookup plus an exact distance
 filter finds the same neighbour set the scan does.
 
-For static tag layouts (the antenna-moving case) the grid — and each tag's
-exact neighbour list — is built once per sweep and reused for every round.
-When tags move, positions change at every read timestamp, so the reader
-instead evaluates the exact vectorized distance filter per round (the
-moral equivalent of rebuilding the grid at each position change; for the
-populations the workloads use, the dense NumPy filter is already faster than
-rebuilding buckets per event).
+For static tag layouts (the antenna-moving case) the grid — and every tag's
+exact neighbour list, packed as CSR arrays — is built once per sweep and
+reused for every event.  When tags move, positions change at every read
+timestamp, so the reader instead evaluates the exact vectorized distance
+filter over chunks of events (the moral equivalent of rebuilding the grid at
+each position change; for the populations the workloads use, the dense NumPy
+filter is already faster than rebuilding buckets per event).
 
 The exact filter compares ``distance <= radius`` with the same naive
 ``sqrt(dx²+dy²+dz²)`` arithmetic as the scalar scan, so the neighbour sets —
@@ -64,7 +64,6 @@ class NeighborGrid:
         self._buckets = {
             key: np.array(indices, dtype=np.intp) for key, indices in buckets.items()
         }
-        self._neighbor_cache: dict[int, np.ndarray] = {}
         self._packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
@@ -95,12 +94,9 @@ class NeighborGrid:
         """Indices within ``radius`` of point ``index`` (excluding itself).
 
         Returned sorted ascending — the insertion order the scalar
-        whole-population scan visits them in — and cached, since the grid is
-        only used for static layouts.
+        whole-population scan visits them in.  :meth:`packed_neighbors`
+        calls this once per point and caches the result.
         """
-        cached = self._neighbor_cache.get(index)
-        if cached is not None:
-            return cached
         candidates = self.candidates(index)
         candidates = candidates[candidates != index]
         if candidates.size:
@@ -108,7 +104,6 @@ class NeighborGrid:
                 self._positions[index], self._positions[candidates]
             )
             candidates = candidates[distances <= self._radius]
-        self._neighbor_cache[index] = candidates
         return candidates
 
     def packed_neighbors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,8 +133,8 @@ class NeighborGrid:
         ``tag_indices`` names the observed point of each event.  Returns
         ``(event_index, neighbor_index)`` — one row per (event, neighbour)
         pair, grouped by event in event order with each event's neighbours
-        ascending — exactly the flattening the per-round engine builds from
-        repeated :meth:`neighbors_of` calls, computed via the CSR arrays.
+        ascending — exactly the flattening of repeated :meth:`neighbors_of`
+        calls, computed via the CSR arrays.
         """
         counts, offsets, flat = self.packed_neighbors()
         tag_indices = np.asarray(tag_indices, dtype=np.intp)

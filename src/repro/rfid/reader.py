@@ -12,29 +12,27 @@ callables mapping time to antenna position and to tag positions, so the same
 reader serves the antenna-moving case (librarian pushing a cart) and the
 tag-moving case (baggage on a conveyor belt).
 
-Three sweep implementations share one RF kernel:
+Two sweep implementations share one RF kernel:
 
 * the **fused** two-phase engine (default): a scheduling pass runs the
   sequential round loop (zone membership, MAC slotting, per-event noise
   draws) and emits the whole sweep as a structure-of-arrays
   :class:`~repro.rfid.event_table.SweepEventTable`; a physics pass then
   evaluates every round's events in one fused NumPy call
-  (:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).  Because the
-  dropout draw is conditional on deep multipath fades, the scheduler draws
-  optimistically and the physics pass verifies, rolling the generator back on
-  the (rare) mis-guess — see :meth:`RFIDReader.sweep_events`;
-* the **per-round batched** path (``engine="round"``) gathers each round's
-  successful slots into per-round batches through
-  :meth:`~repro.rf.channel.BackscatterChannel.observe_batch`, with coupling
-  neighbours found via a spatial hash
-  (:class:`~repro.rfid.coupling.NeighborGrid`) for static layouts;
-* the **scalar** path (``engine="scalar"``) is the
-  original read-at-a-time reference loop.
+  (:meth:`~repro.rf.channel.BackscatterChannel.sweep_physics`), with
+  coupling neighbours of static layouts found via a spatial hash
+  (:class:`~repro.rfid.coupling.NeighborGrid`).  Because the dropout draw is
+  conditional on deep multipath fades, the scheduler draws optimistically and
+  the physics pass verifies, rolling the generator back on the (rare)
+  mis-guess — see :meth:`RFIDReader.sweep_events`;
+* the **scalar** path (``engine="scalar"``) is the original read-at-a-time
+  reference loop.
 
-All three consume the shared random generator in the identical order (one
+Both consume the shared random generator in the identical order (one
 ``rng.integers`` per round, then the fixed per-event noise-draw sequence), so
 their read logs are **bit-identical** — pinned by
-``tests/test_batch_sweep.py`` and ``tests/test_fused_sweep.py``.
+``tests/test_fused_sweep.py``, and the leaderboard's read logs by the
+committed digests of ``tests/test_leaderboard_digests.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import numpy as np
 
 from ..motion.scenarios import StaticTagPositions
 from ..rf.antenna import ReadingZone
-from ..rf.channel import BackscatterChannel
+from ..rf.channel import BackscatterChannel, SweepPhysics
 from ..rf.geometry import Point3D, euclidean_distances
 from ..rf.multipath import Reflector
 from ..rf.phase_model import DeviceOffsets
@@ -64,16 +62,16 @@ AntennaPositionFn = Callable[[float], Point3D]
 TagPositionFn = Callable[[str, float], Point3D]
 """Maps (tag id, time in seconds) to that tag's position."""
 
-_SWEEP_ENGINES = ("fused", "round", "scalar")
-"""The three sweep implementations; all bit-identical from the same seed."""
+_SWEEP_ENGINES = ("fused", "scalar")
+"""The shipped engine and its reference loop; bit-identical from the same seed."""
 
 _MAX_FUSED_ATTEMPTS = 16
-"""Optimistic schedule/verify iterations before the exact per-round fallback.
+"""Optimistic schedule/verify iterations before the exact schedule.
 
 Each retry replays only the schedule tail after the corrected round plus one
 fused physics pass, so attempts are cheap; the cap exists to bound the truly
-pathological channels (deep fades on more rounds than this), which drop to
-the exact per-round mode instead."""
+pathological channels (deep fades on more rounds than this), which replay
+once in the scheduler's exact mode instead."""
 
 _COUPLING_CHUNK_CELLS = 262_144
 """Cell budget (events x population) per chunk of the dense coupling filter."""
@@ -81,60 +79,12 @@ _COUPLING_CHUNK_CELLS = 262_144
 _PAIRED_FALLBACK_CHUNK = 512
 """Event chunk for the cross-product diagonal of paired-query-less providers."""
 
-_EVENT_INDEX_CACHE = np.arange(64, dtype=np.intp)
-_EVENT_INDEX_CACHE.setflags(write=False)
-
-
-def _event_indices(count: int) -> np.ndarray:
-    """``np.arange(count)`` served from a shared grow-only read-only cache.
-
-    The per-round RF kernel used to allocate the same small index ranges
-    three times per inventory round; every consumer only reads them, so one
-    cached buffer (doubled on demand) serves every round of every sweep.
-    """
-    global _EVENT_INDEX_CACHE
-    if count > _EVENT_INDEX_CACHE.size:
-        size = _EVENT_INDEX_CACHE.size
-        while size < count:
-            size *= 2
-        cache = np.arange(size, dtype=np.intp)
-        cache.setflags(write=False)
-        _EVENT_INDEX_CACHE = cache
-    return _EVENT_INDEX_CACHE[:count]
-
-
-class _CouplingScratch:
-    """Per-sweep scratch buffers for the per-round dense coupling filter."""
-
-    __slots__ = ("_within",)
-
-    def __init__(self) -> None:
-        self._within: np.ndarray | None = None
-
-    def within_mask(self, distances: np.ndarray, radius: float) -> np.ndarray:
-        """``distances <= radius`` written into a reused per-sweep buffer.
-
-        The buffer grows to the largest (events x population) round seen so
-        far; every cell of the returned view is overwritten, so stale values
-        from previous rounds cannot leak.
-        """
-        rows, cols = distances.shape
-        buffer = self._within
-        if buffer is None or buffer.shape[0] < rows or buffer.shape[1] < cols:
-            self._within = buffer = np.empty(
-                (max(rows, 16), cols), dtype=bool
-            )
-        view = buffer[:rows, :cols]
-        np.less_equal(distances, radius, out=view)
-        return view
-
 
 @dataclass(slots=True)
 class _SweepSetup:
-    """Per-sweep invariants shared by the batched and fused engines."""
+    """Per-sweep invariants shared by the fused engine's two passes."""
 
     ids: list[str]
-    index_of: dict[str, int]
     mu_by_tag: np.ndarray
     provider: object
     static_layout: bool
@@ -154,7 +104,10 @@ class _SweepScheduler:
     per-event noise draws — and emits the whole sweep as a
     :class:`~repro.rfid.event_table.SweepEventTable`.  Deep-fade booleans for
     the draws come from ``corrections`` where a prior physics pass computed
-    them, and are assumed ``False`` elsewhere.
+    them, and are assumed ``False`` elsewhere.  In *exact* mode each round's
+    booleans come from that round's own physics instead, evaluated before its
+    noise draw — the schedule for channels too deep-faded to converge by
+    correction.
 
     Entry state (clock, protocol Q, rng state) is checkpointed every
     :attr:`CHECKPOINT_STRIDE` rounds, so when the physics pass finds a
@@ -195,14 +148,18 @@ class _SweepScheduler:
         return self._run_from(0, 0.0, corrections)
 
     def resume(
-        self, round_index: int, corrections: "dict[int, np.ndarray]"
+        self,
+        round_index: int,
+        corrections: "dict[int, np.ndarray]",
+        exact: bool = False,
     ) -> SweepEventTable:
         """Replay the schedule from ``round_index``'s nearest checkpoint.
 
         Restores the generator and protocol state captured at the last
         snapshot at or before the corrected round; the replayed rounds
         consume the generator exactly as before (corrections included), so
-        only the mis-guessed round's noise actually changes.
+        only the mis-guessed round's noise actually changes.  ``exact``
+        replays in exact mode, ignoring ``corrections``.
         """
         base = (round_index // self.CHECKPOINT_STRIDE) * self.CHECKPOINT_STRIDE
         clock, q_fp, rng_state = self._checkpoints[base]
@@ -212,10 +169,14 @@ class _SweepScheduler:
             del self._checkpoints[stale]
         while self._parts and self._parts[-1][0] >= base:
             self._parts.pop()
-        return self._run_from(base, clock, corrections)
+        return self._run_from(base, clock, corrections, exact)
 
     def _run_from(
-        self, round_index: int, clock: float, corrections: "dict[int, np.ndarray]"
+        self,
+        round_index: int,
+        clock: float,
+        corrections: "dict[int, np.ndarray]",
+        exact: bool = False,
     ) -> SweepEventTable:
         reader = self._reader
         setup = self._setup
@@ -254,17 +215,24 @@ class _SweepScheduler:
                 # the scalar loop's "first read past the deadline breaks".
                 count = int(np.searchsorted(success_ends, duration_s, side="right"))
                 if count:
-                    assumed = corrections.get(round_index)
-                    if assumed is None:
-                        assumed = np.zeros(count, dtype=bool)
+                    times = success_ends[:count]
+                    tag_indices = np.asarray(success_ids[:count], dtype=np.intp)
+                    if exact:
+                        assumed = reader._event_physics(
+                            setup, antenna_position, times, tag_indices
+                        ).deep_fade
+                    else:
+                        assumed = corrections.get(round_index)
+                        if assumed is None:
+                            assumed = np.zeros(count, dtype=bool)
                     dropped, phase_noise, rssi_noise = (
                         noise.draw_event_noise_scheduled(assumed, rng)
                     )
                     parts.append(
                         (
                             round_index,
-                            success_ends[:count],
-                            np.asarray(success_ids[:count], dtype=np.intp),
+                            times,
+                            tag_indices,
                             dropped,
                             phase_noise,
                             rssi_noise,
@@ -416,8 +384,9 @@ class RFIDReader:
         self._per_tag_channels: dict[str, BackscatterChannel] = {}
         self.last_sweep_stats: dict = {}
         """Diagnostics of the most recent fused sweep: optimistic attempts,
-        rolled-back rounds, whether the per-round fallback engaged, and the
-        scheduling-vs-physics wall-time split."""
+        rolled-back rounds, whether the exact per-round schedule engaged
+        (``per_round_fallback``), and the scheduling-vs-physics wall-time
+        split, which covers that schedule too."""
 
     def _device_offsets_for(self, tag: Tag) -> DeviceOffsets:
         """Eq. (1) ``mu`` components for one tag behind this reader."""
@@ -475,9 +444,9 @@ class RFIDReader:
             Random generator controlling slot choices, noise, and dropouts.
         engine:
             Which sweep engine to run — ``"fused"`` (default: two-phase
-            scheduling + whole-sweep physics), ``"round"`` (the per-round
-            batched kernel), or ``"scalar"`` (the read-at-a-time reference
-            loop).  All three produce bit-identical logs from the same seed.
+            scheduling + whole-sweep physics) or ``"scalar"`` (the
+            read-at-a-time reference loop).  Both produce bit-identical logs
+            from the same seed.
         """
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
@@ -490,8 +459,6 @@ class RFIDReader:
             return self.sweep_events(
                 tags, antenna_position, duration_s, tag_position, rng
             ).to_read_log()
-        if engine == "round":
-            return self._sweep_batched(tags, antenna_position, duration_s, tag_position, rng)
         return self._sweep_scalar(tags, antenna_position, duration_s, tag_position, rng)
 
     # ------------------------------------------------------------------
@@ -595,7 +562,7 @@ class RFIDReader:
         return tuple(scatterers)
 
     # ------------------------------------------------------------------
-    # Shared sweep setup
+    # Fused two-phase path (engine="fused", the default)
     # ------------------------------------------------------------------
 
     def _sweep_setup(
@@ -604,11 +571,10 @@ class RFIDReader:
         tag_position: TagPositionFn | None,
         antenna_position: AntennaPositionFn,
     ) -> "_SweepSetup":
-        """Resolve the per-sweep invariants shared by the batched engines."""
+        """Resolve the per-sweep invariants of the fused engine."""
         config = self.config
         tag_list = list(tags)
         ids = [tag.tag_id for tag in tag_list]
-        index_of = {tag_id: i for i, tag_id in enumerate(ids)}
         population = len(ids)
         # Hoist the per-tag Eq. (1) offsets: theta_TAG varies per tag model,
         # everything else about the channel is shared.
@@ -634,7 +600,6 @@ class RFIDReader:
 
         return _SweepSetup(
             ids=ids,
-            index_of=index_of,
             mu_by_tag=mu_by_tag,
             provider=provider,
             static_layout=static_layout,
@@ -655,10 +620,11 @@ class RFIDReader:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(antenna row, tag rows) at a round's start — the zone-check inputs.
 
-        Shared by every round loop.  Uses the providers' row-level queries
-        when available (identical arithmetic to the ``Point3D`` forms) and a
-        caller-owned one-element time buffer, so the per-round geometry costs
-        no wrapper objects or allocations beyond the providers' own outputs.
+        Called once per scheduled round.  Uses the providers' row-level
+        queries when available (identical arithmetic to the ``Point3D``
+        forms) and a caller-owned one-element time buffer, so the per-round
+        geometry costs no wrapper objects or allocations beyond the
+        providers' own outputs.
         """
         if setup.antenna_position_row is not None:
             antenna_row = setup.antenna_position_row(clock)
@@ -670,51 +636,6 @@ class RFIDReader:
             clock_buffer[0] = clock
             round_positions = setup.provider.positions_at(setup.ids, clock_buffer)[0]
         return antenna_row, round_positions
-
-    # ------------------------------------------------------------------
-    # Per-round batched path (engine="round")
-    # ------------------------------------------------------------------
-
-    def _sweep_batched(
-        self,
-        tags: TagCollection,
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        tag_position: TagPositionFn | None,
-        rng: np.random.Generator,
-    ) -> ReadLog:
-        """Round-batched sweep: vectorized geometry, RF kernel, and logging."""
-        # Column accumulators for the read log.
-        out_times: list[np.ndarray] = []
-        out_ids: list[str] = []
-        out_phases: list[np.ndarray] = []
-        out_rssis: list[np.ndarray] = []
-
-        for times, ids, phases, rssis in self._batched_rounds(
-            tags, antenna_position, duration_s, tag_position, rng
-        ):
-            out_times.append(times)
-            out_ids.extend(ids)
-            out_phases.append(phases)
-            out_rssis.append(rssis)
-
-        if out_times:
-            timestamps = np.concatenate(out_times)
-            phases = np.concatenate(out_phases)
-            rssis = np.concatenate(out_rssis)
-        else:
-            timestamps = phases = rssis = np.empty(0)
-        order = np.argsort(timestamps, kind="stable")
-        log = ReadLog()
-        log.extend_columns(
-            timestamps[order],
-            [out_ids[i] for i in order],
-            phases[order],
-            rssis[order],
-            channel_index=self.config.channel.channel_index,
-            antenna_port=self.config.antenna_port,
-        )
-        return log
 
     def sweep_stream(
         self,
@@ -746,180 +667,6 @@ class RFIDReader:
         table = self.sweep_events(tags, antenna_position, duration_s, tag_position, rng)
         yield from table.iter_round_batches()
 
-    def _batched_rounds(
-        self,
-        tags: TagCollection,
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        tag_position: TagPositionFn | None,
-        rng: np.random.Generator,
-    ):
-        """The round-batched sweep loop, one ``(times, ids, phases, rssis)``
-        tuple per inventory round with at least one readable reply.
-
-        The per-round reference engine (``engine="round"``): the fused
-        two-phase engine must stay bit-identical to this loop, which in turn
-        is pinned against the scalar loop.
-        """
-        setup = self._sweep_setup(tags, tag_position, antenna_position)
-        zone = self.config.reading_zone
-        ids = setup.ids
-        scratch = _CouplingScratch()
-        clock_buffer = np.empty(1)
-
-        clock = 0.0
-        while clock < duration_s:
-            antenna_row, round_positions = self._round_start_geometry(
-                setup, antenna_position, clock, clock_buffer
-            )
-            in_zone_mask = zone.contains_many(antenna_row, round_positions)
-            in_zone = [ids[i] for i in np.nonzero(in_zone_mask)[0]]
-
-            events = self.protocol.run_round(in_zone, clock, rng)
-            success_ids: list[str] = []
-            success_times: list[float] = []
-            for event in events:
-                if event.outcome is not SlotOutcome.SUCCESS or event.tag_id is None:
-                    continue
-                read_time = event.end_time_s
-                if read_time > duration_s:
-                    break
-                success_ids.append(event.tag_id)
-                success_times.append(read_time)
-
-            if success_ids:
-                observed = self._observe_round(
-                    rng=rng,
-                    setup=setup,
-                    antenna_position=antenna_position,
-                    success_ids=success_ids,
-                    success_times=success_times,
-                    scratch=scratch,
-                )
-                if observed is not None:
-                    yield observed
-
-            round_time = self.protocol.round_duration_s(events)
-            if round_time <= 0:
-                raise RuntimeError("inventory round produced non-positive duration")
-            clock += round_time
-
-    def _observe_round(
-        self,
-        rng: np.random.Generator,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        success_ids: list[str],
-        success_times: list[float],
-        scratch: "_CouplingScratch",
-    ) -> "tuple[np.ndarray, list[str], np.ndarray, np.ndarray] | None":
-        """Observe one round's successful slots as a single vectorized batch.
-
-        Returns the round's readable reads as ``(times, ids, phases, rssis)``
-        columns in slot order, or ``None`` when nothing was readable.  The
-        per-event index arrays come from the shared grow-only cache
-        (:func:`_event_indices`) and the dense coupling filter reuses
-        ``scratch``'s mask buffer — the same (tag index, timestamp) event
-        schema the fused engine's phase 1 emits as a whole-sweep table.
-        """
-        count = len(success_ids)
-        tag_indices = np.array(
-            [setup.index_of[tag_id] for tag_id in success_ids], dtype=np.intp
-        )
-        times = np.array(success_times, dtype=float)
-
-        if setup.antenna_positions_at is not None:
-            antenna_rows = np.asarray(setup.antenna_positions_at(times), dtype=float)
-        else:
-            antenna_rows = np.array(
-                [
-                    (p.x, p.y, p.z)
-                    for p in (antenna_position(t) for t in success_times)
-                ],
-                dtype=float,
-            )
-
-        extra_positions = extra_index = None
-        if setup.base_positions is not None:
-            # Static layout: positions never change; neighbour sets come from
-            # the sweep-lifetime spatial hash.
-            event_tag_positions = setup.base_positions[tag_indices]
-            if setup.coupling_on and setup.grid is not None:
-                neighbor_lists = [setup.grid.neighbors_of(int(i)) for i in tag_indices]
-                total = sum(len(n) for n in neighbor_lists)
-                if total:
-                    extra_index = np.repeat(
-                        _event_indices(count),
-                        [len(n) for n in neighbor_lists],
-                    )
-                    flat_neighbors = np.concatenate(neighbor_lists)
-                    extra_positions = setup.base_positions[flat_neighbors]
-        elif not setup.coupling_on:
-            # Moving tags without coupling: only the observed tags' own
-            # positions matter.  Providers evaluate each (tag, time) cell
-            # independently, so a pairwise query equals the corresponding
-            # cells of the full-population query bitwise.
-            paired = getattr(setup.provider, "positions_paired", None)
-            if paired is not None:
-                event_tag_positions = paired(success_ids, times)
-            else:
-                rows = setup.provider.positions_at(success_ids, times)
-                indices = _event_indices(count)
-                event_tag_positions = rows[indices, indices]
-        else:
-            # Moving tags with coupling: evaluate every tag's position at
-            # every read time in one array pass, then apply the exact radius
-            # filter (the positions change each event, so the spatial hash
-            # would have to be rebuilt per event anyway — the dense filter IS
-            # that rebuild).
-            all_positions = setup.provider.positions_at(setup.ids, times)
-            indices = _event_indices(count)
-            event_tag_positions = all_positions[indices, tag_indices]
-            distances = euclidean_distances(
-                event_tag_positions[:, None, :], all_positions
-            )
-            within = scratch.within_mask(distances, setup.radius)
-            within[indices, tag_indices] = False
-            event_index, neighbor_index = np.nonzero(within)
-            if event_index.size:
-                extra_index = event_index.astype(np.intp)
-                extra_positions = all_positions[event_index, neighbor_index]
-
-        extra_coefficients = extra_decays = None
-        if extra_positions is not None:
-            extra_coefficients = np.full(
-                len(extra_positions), self.config.tag_coupling_coefficient
-            )
-            extra_decays = np.full(
-                len(extra_positions), self.config.tag_coupling_decay_m
-            )
-
-        observation = self.config.channel.observe_batch(
-            antenna_rows,
-            event_tag_positions,
-            rng,
-            device_offsets_total=setup.mu_by_tag[tag_indices],
-            extra_positions=extra_positions,
-            extra_coefficients=extra_coefficients,
-            extra_decays=extra_decays,
-            extra_event_index=extra_index,
-        )
-
-        keep = observation.readable
-        if not np.any(keep):
-            return None
-        kept = np.nonzero(keep)[0]
-        return (
-            times[kept],
-            [success_ids[i] for i in kept],
-            observation.phase_rad[kept],
-            observation.rssi_dbm[kept],
-        )
-
-    # ------------------------------------------------------------------
-    # Fused two-phase path (engine="fused", the default)
-    # ------------------------------------------------------------------
-
     def sweep_events(
         self,
         tags: TagCollection,
@@ -934,11 +681,10 @@ class RFIDReader:
         membership, MAC slotting, per-event noise draws, clock advance — and
         emits the whole sweep's reply attempts as a structure-of-arrays
         :class:`~repro.rfid.event_table.SweepEventTable`.  All rng
-        consumption happens here, in the same order as the per-round and
-        scalar engines.  **Phase 2 (physics)** evaluates every event's
-        geometry, link budget, multipath, Eq. (1) phase, quantisation, and
-        RSSI in one fused NumPy pass
-        (:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).
+        consumption happens here, in the same order as the scalar engine.
+        **Phase 2 (physics)** evaluates every event's geometry, link budget,
+        multipath, Eq. (1) phase, quantisation, and RSSI in one fused NumPy
+        pass (:meth:`~repro.rf.channel.BackscatterChannel.sweep_physics`).
 
         The one place physics feeds back into the rng order is the dropout
         draw, which the scalar path skips for events in a deep multipath
@@ -948,9 +694,10 @@ class RFIDReader:
         nearest per-round checkpoint and only the schedule tail replays,
         with the exact booleans for the offending round (each retry fixes at
         least one round, so the loop terminates).  Pathological
-        configurations that keep
-        mis-guessing fall back to an exact per-round mode.  Either way the
-        read log is bit-identical to the scalar reference — pinned by
+        configurations that keep mis-guessing replay once from the first
+        round in the scheduler's exact mode, which evaluates each round's
+        physics before its noise draw.  Either way the read log is
+        bit-identical to the scalar reference — pinned by
         ``tests/test_fused_sweep.py``.
         """
         if duration_s <= 0:
@@ -958,10 +705,6 @@ class RFIDReader:
         rng = rng if rng is not None else np.random.default_rng()
         setup = self._sweep_setup(tags, tag_position, antenna_position)
         noise = self.config.channel.noise
-
-        rng_checkpoint = rng.bit_generator.state
-        protocol_checkpoint = self.protocol.scheduling_checkpoint()
-        corrections: dict[int, np.ndarray] = {}
         stats = {
             "attempts": 0,
             "rolled_back_rounds": 0,
@@ -971,74 +714,68 @@ class RFIDReader:
         }
 
         scheduler = _SweepScheduler(self, setup, antenna_position, duration_s, rng)
-        table: SweepEventTable | None = None
+        corrections: dict[int, np.ndarray] = {}
         resume_round: int | None = None
-        for attempt in range(_MAX_FUSED_ATTEMPTS):
+        exact = False
+        while True:
             tick = time.perf_counter()
             if resume_round is None:
-                candidate = scheduler.run(corrections)
+                table = scheduler.run(corrections)
             else:
                 # Everything before the corrected round consumed the
                 # generator correctly — replay only the tail from that
                 # round's checkpoint.
-                candidate = scheduler.resume(resume_round, corrections)
+                table = scheduler.resume(resume_round, corrections, exact)
             tock = time.perf_counter()
+            self._observe_events(setup, antenna_position, table)
             stats["scheduling_s"] += tock - tick
-            self._observe_events(setup, antenna_position, candidate)
             stats["physics_s"] += time.perf_counter() - tock
-            stats["attempts"] = attempt + 1
+            if exact:
+                break
+            stats["attempts"] += 1
             if noise.random_dropout_probability == 0.0:
                 # Deep fades never gate a draw when dropouts are off; the
                 # schedule cannot have diverged.
-                table = candidate
                 break
-            mistaken = candidate.deep_fade & ~candidate.assumed_deep
+            mistaken = table.deep_fade & ~table.assumed_deep
             if not mistaken.any():
-                table = candidate
                 break
             # Each retry pins down one more round; if more rounds are wrong
-            # than retries remain, optimism cannot converge — go straight to
-            # the exact per-round mode instead of burning the attempts.
-            mistaken_rounds = np.unique(candidate.round_ids[mistaken]).size
-            if mistaken_rounds > _MAX_FUSED_ATTEMPTS - attempt - 1:
-                break
+            # than retries remain, optimism cannot converge.  Replay once
+            # from the first round in exact mode (physics before noise,
+            # round by round), which can never mis-guess.
+            mistaken_rounds = np.unique(table.round_ids[mistaken]).size
+            if mistaken_rounds > _MAX_FUSED_ATTEMPTS - stats["attempts"]:
+                stats["per_round_fallback"] = exact = True
+                resume_round = 0
+                continue
             # The first mis-guessed round: its own events are fixed by its
             # (pre-noise) slotting draw, so its exact booleans stay valid
             # across the replay.
-            first_round = int(candidate.round_ids[int(np.argmax(mistaken))])
-            round_rows = candidate.round_ids == first_round
-            corrections[first_round] = candidate.deep_fade[round_rows].copy()
+            first_round = int(table.round_ids[int(np.argmax(mistaken))])
+            round_rows = table.round_ids == first_round
+            corrections[first_round] = table.deep_fade[round_rows].copy()
             resume_round = first_round
             stats["rolled_back_rounds"] += 1
-
-        if table is None:
-            # Pathological channel (deep fades on most rounds): replay once
-            # more in exact per-round mode — physics before noise, round by
-            # round — which can never mis-guess.
-            rng.bit_generator.state = rng_checkpoint
-            self.protocol.restore_scheduling_checkpoint(protocol_checkpoint)
-            stats["per_round_fallback"] = True
-            table = self._sweep_table_per_round(
-                setup, antenna_position, duration_s, rng
-            )
 
         self.last_sweep_stats = stats
         return table
 
-    def _event_geometry(
+    def _event_physics(
         self,
         setup: "_SweepSetup",
         antenna_position: AntennaPositionFn,
         times: np.ndarray,
         tag_indices: np.ndarray,
-    ):
-        """Geometry and coupling scatterers for a batch of events.
+    ) -> SweepPhysics:
+        """The rng-free physics of a batch of events, coupling included.
 
-        Returns ``(antenna_rows, event_tag_positions, extra_positions,
-        extra_coefficients, extra_decays, extra_event_index)``.  Shared by
-        the fused physics pass (one call per sweep) and the exact per-round
-        fallback (one call per round); every per-event value is evaluated by
-        the same elementwise arithmetic as :meth:`_observe_round`.
+        Resolves each event's antenna and tag positions and its coupling
+        scatterers, then evaluates
+        :meth:`~repro.rf.channel.BackscatterChannel.sweep_physics`.  Called
+        once per sweep by the physics pass and once per round by the
+        scheduler's exact mode; every value depends only on its own event
+        row, so both calls agree bitwise on the rows they share.
         """
         count = int(times.size)
         if setup.antenna_positions_at is not None:
@@ -1077,7 +814,7 @@ class RFIDReader:
                     rows = setup.provider.positions_at(
                         event_ids[start:stop], times[start:stop]
                     )
-                    indices = _event_indices(stop - start)
+                    indices = np.arange(stop - start)
                     event_tag_positions[start:stop] = rows[indices, indices]
         else:
             # Moving tags with coupling: the dense per-event radius filter,
@@ -1093,7 +830,7 @@ class RFIDReader:
                 all_positions = setup.provider.positions_at(
                     setup.ids, times[start:stop]
                 )
-                indices = _event_indices(stop - start)
+                indices = np.arange(stop - start)
                 chunk_tags = tag_indices[start:stop]
                 chunk_positions = all_positions[indices, chunk_tags]
                 event_tag_positions[start:stop] = chunk_positions
@@ -1118,13 +855,14 @@ class RFIDReader:
             extra_decays = np.full(
                 len(extra_positions), self.config.tag_coupling_decay_m
             )
-        return (
+        return self.config.channel.sweep_physics(
             antenna_rows,
             event_tag_positions,
-            extra_positions,
-            extra_coefficients,
-            extra_decays,
-            extra_index,
+            device_offsets_total=setup.mu_by_tag[tag_indices],
+            extra_positions=extra_positions,
+            extra_coefficients=extra_coefficients,
+            extra_decays=extra_decays,
+            extra_event_index=extra_index,
         )
 
     def _observe_events(
@@ -1145,135 +883,13 @@ class RFIDReader:
             table.readable = np.empty(0, dtype=bool)
             table.deep_fade = np.empty(0, dtype=bool)
             return
-        tag_indices = table.tag_indices
-        (
-            antenna_rows,
-            event_tag_positions,
-            extra_positions,
-            extra_coefficients,
-            extra_decays,
-            extra_index,
-        ) = self._event_geometry(setup, antenna_position, table.times_s, tag_indices)
-        observation, deep_fade = self.config.channel.observe_sweep(
-            antenna_rows,
-            event_tag_positions,
-            dropped=table.dropped,
-            phase_noise=table.phase_noise_rad,
-            rssi_noise=table.rssi_noise_db,
-            device_offsets_total=setup.mu_by_tag[tag_indices],
-            extra_positions=extra_positions,
-            extra_coefficients=extra_coefficients,
-            extra_decays=extra_decays,
-            extra_event_index=extra_index,
+        physics = self._event_physics(
+            setup, antenna_position, table.times_s, table.tag_indices
+        )
+        observation = self.config.channel.observe_scheduled(
+            physics, table.dropped, table.phase_noise_rad, table.rssi_noise_db
         )
         table.phase_rad = observation.phase_rad
         table.rssi_dbm = observation.rssi_dbm
         table.readable = observation.readable
-        table.deep_fade = deep_fade
-
-    def _sweep_table_per_round(
-        self,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        rng: np.random.Generator,
-    ) -> SweepEventTable:
-        """Exact per-round mode: physics before noise, round by round.
-
-        The last-resort path for channels whose deep fades keep invalidating
-        the optimistic schedule: within each round the physics runs first, so
-        the noise draws always use the exact booleans — the same draw order as
-        the scalar loop, with none of the fused pass's whole-sweep batching.
-        """
-        zone = self.config.reading_zone
-        channel = self.config.channel
-        noise = channel.noise
-        protocol = self.protocol
-        ids = setup.ids
-        clock_buffer = np.empty(1)
-
-        parts: list[tuple] = []
-        round_index = 0
-        clock = 0.0
-        while clock < duration_s:
-            antenna_row, round_positions = self._round_start_geometry(
-                setup, antenna_position, clock, clock_buffer
-            )
-            in_zone_mask = zone.contains_many(antenna_row, round_positions)
-            in_zone = np.nonzero(in_zone_mask)[0]
-
-            success_ids, success_ends, round_time = protocol.run_round_schedule(
-                in_zone, clock, rng
-            )
-            if len(success_ids):
-                count = int(np.searchsorted(success_ends, duration_s, side="right"))
-                if count:
-                    times = success_ends[:count]
-                    tag_indices = np.asarray(success_ids[:count], dtype=np.intp)
-                    (
-                        antenna_rows,
-                        event_tag_positions,
-                        extra_positions,
-                        extra_coefficients,
-                        extra_decays,
-                        extra_index,
-                    ) = self._event_geometry(setup, antenna_position, times, tag_indices)
-                    physics = channel.sweep_physics(
-                        antenna_rows,
-                        event_tag_positions,
-                        device_offsets_total=setup.mu_by_tag[tag_indices],
-                        extra_positions=extra_positions,
-                        extra_coefficients=extra_coefficients,
-                        extra_decays=extra_decays,
-                        extra_event_index=extra_index,
-                    )
-                    dropped, phase_noise, rssi_noise = (
-                        noise.draw_event_noise_scheduled(physics.deep_fade, rng)
-                    )
-                    observation = channel.observe_scheduled(
-                        physics, dropped, phase_noise, rssi_noise
-                    )
-                    parts.append(
-                        (
-                            times,
-                            tag_indices,
-                            np.full(count, round_index, dtype=np.intp),
-                            dropped,
-                            phase_noise,
-                            rssi_noise,
-                            physics.deep_fade,
-                            observation.phase_rad,
-                            observation.rssi_dbm,
-                            observation.readable,
-                        )
-                    )
-
-            if round_time <= 0:
-                raise RuntimeError("inventory round produced non-positive duration")
-            clock += round_time
-            round_index += 1
-
-        def _column(position: int, dtype=None, default_dtype=float) -> np.ndarray:
-            if parts:
-                return np.concatenate([part[position] for part in parts])
-            return np.empty(0, dtype=dtype if dtype is not None else default_dtype)
-
-        deep = _column(6, dtype=bool)
-        return SweepEventTable(
-            tag_ids=list(ids),
-            channel_index=channel.channel_index,
-            antenna_port=self.config.antenna_port,
-            round_count=round_index,
-            times_s=_column(0),
-            tag_indices=_column(1, dtype=np.intp),
-            round_ids=_column(2, dtype=np.intp),
-            dropped=_column(3, dtype=bool),
-            phase_noise_rad=_column(4),
-            rssi_noise_db=_column(5),
-            assumed_deep=deep,
-            deep_fade=deep,
-            phase_rad=_column(7),
-            rssi_dbm=_column(8),
-            readable=_column(9, dtype=bool),
-        )
-
+        table.deep_fade = physics.deep_fade

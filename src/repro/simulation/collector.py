@@ -70,10 +70,9 @@ def collect_sweep(scene: Scene, engine: str = "fused") -> SweepResult:
     ``scene.tags.ids()``.
 
     ``engine`` selects the sweep implementation (``"fused"`` two-phase
-    engine by default, ``"round"`` for the per-round batched kernel,
-    ``"scalar"`` for the read-at-a-time reference loop).  All engines produce
-    bit-identical results — the knob exists for benchmarking and equivalence
-    testing.
+    engine by default, ``"scalar"`` for the read-at-a-time reference loop).
+    Both produce bit-identical results — the knob exists for benchmarking
+    and equivalence testing.
     """
     reader = RFIDReader(config=scene.reader_config, protocol=scene.protocol)
     read_log = reader.sweep(

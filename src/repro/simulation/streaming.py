@@ -5,9 +5,9 @@
 converting a *finished* :class:`~repro.rfid.reading.ReadLog` into a
 :class:`~repro.core.phase_profile.ProfileSet`, it ingests reads (single
 :class:`~repro.rfid.reading.TagRead` objects or columnar
-:class:`~repro.rfid.reading.ReadBatch` batches from the round-batched reader)
-as they arrive and maintains one growing per-tag sample buffer with amortized
-O(1) appends.  Snapshots taken at any instant are bit-identical to what the
+:class:`~repro.rfid.reading.ReadBatch` batches from the reader's per-round
+stream) as they arrive and maintains one growing per-tag sample buffer with
+amortized O(1) appends.  Snapshots taken at any instant are bit-identical to what the
 batch converter would produce from the reads ingested so far — same stable
 timestamp sort, same phase wrapping — which is the foundation of the
 streaming session's batch-convergence guarantee.

@@ -2,15 +2,15 @@
 
 The fused engine (phase 1: rng-owning scheduling loop emitting a whole-sweep
 event table; phase 2: one fused physics pass) must be **bit-identical** to
-both the per-round batched engine and the scalar reference loop on every
-workload — including channels whose deep fades force the optimistic noise
-schedule to roll back, and pathological ones that push it into the exact
-per-round fallback.  A seeded golden trace pins the fused output
-independently, and a property test pins the ``sweep_stream`` ↔ event-table
-replay contract.
+the scalar reference loop on every workload — including channels whose deep
+fades force the optimistic noise schedule to roll back, and pathological ones
+that push it into the scheduler's exact mode.  A seeded golden trace pins the
+fused output independently, and a property test pins the ``sweep_stream`` ↔
+event-table replay contract.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.library import generate_bookshelf
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
-ENGINES = ("fused", "round", "scalar")
+ENGINES = ("fused", "scalar")
 
 
 def sweep_logs(make_scene) -> dict[str, ReadLog]:
@@ -46,18 +46,18 @@ def sweep_logs(make_scene) -> dict[str, ReadLog]:
 
 
 def assert_all_identical(logs: dict[str, ReadLog]) -> None:
-    reference = logs["scalar"]
+    fused, reference = logs["fused"], logs["scalar"]
     assert len(reference) > 0
-    for engine in ("fused", "round"):
-        assert len(logs[engine]) == len(reference), engine
-        for index, (a, b) in enumerate(zip(logs[engine].reads, reference.reads)):
-            assert a == b, f"{engine} read {index} diverged: {a} vs {b}"
+    assert len(fused) == len(reference)
+    for index, (a, b) in enumerate(zip(fused.reads, reference.reads)):
+        assert a == b, f"fused read {index} diverged: {a} vs {b}"
 
 
-class TestThreeWayEquivalence:
-    """fused == round == scalar, field for field, on every workload."""
+class TestFusedScalarEquivalence:
+    """fused == scalar, field for field, on every workload."""
 
     def test_library_workload(self):
+        # The librarian case: hand-pushed antenna over a static bookshelf.
         shelf = generate_bookshelf(levels=2, books_per_level=6, seed=21)
         tags = shelf.to_tags(seed=21)
         assert_all_identical(
@@ -65,12 +65,14 @@ class TestThreeWayEquivalence:
         )
 
     def test_airport_workload(self):
+        # The baggage case: static antenna, bags riding a constant-speed belt.
         batch = baggage_batch(MORNING_PEAK, bag_count=6, seed=22)
         assert_all_identical(
             sweep_logs(lambda: standard_tag_moving_scene(batch.tags, seed=22))
         )
 
     def test_warehouse_workload(self):
+        # The sortation case: multi-lane cartons on a surging/crawling belt.
         config = ConveyorConfig(lanes=2, cartons_per_lane=3)
         assert_all_identical(
             sweep_logs(
@@ -79,6 +81,8 @@ class TestThreeWayEquivalence:
         )
 
     def test_moving_tags_with_coupling_disabled(self):
+        # Coupling off on a moving layout takes the diagonal-only position
+        # query (no full-population cross product).
         batch = baggage_batch(MORNING_PEAK, bag_count=5, seed=31)
 
         def make_scene():
@@ -93,6 +97,7 @@ class TestThreeWayEquivalence:
         assert_all_identical(sweep_logs(make_scene))
 
     def test_plain_callable_positions(self):
+        # A caller-supplied closure (no array-native provider).
         tags = make_tags([Point3D(i * 0.07, 0.0, 0.0) for i in range(4)], seed=4)
         starts = tags.positions()
 
@@ -118,12 +123,7 @@ class TestThreeWayEquivalence:
 
 
 class TestFusedGoldenTrace:
-    """Seeded golden trace through the fused (default) engine.
-
-    Same numbers as the per-round engine's golden trace in
-    ``tests/test_batch_sweep.py`` — the point of pinning them here too is
-    that a divergence report names the engine that moved.
-    """
+    """Seeded golden trace: a tripwire independent of the equivalence tests."""
 
     def test_standard_scene_trace(self):
         positions = [Point3D(i * 0.08, 0.06 * (i % 2), 0.0) for i in range(8)]
@@ -135,6 +135,8 @@ class TestFusedGoldenTrace:
         assert len(log.tag_ids()) == 8
         assert columns["timestamp_s"][0] == pytest.approx(0.00565, abs=1e-12)
         assert columns["timestamp_s"][-1] == pytest.approx(3.79815, abs=1e-9)
+        # A checksum over every reported phase pins the whole RF pipeline
+        # (geometry, multipath, noise draws, quantisation) for this seed.
         assert float(np.sum(columns["phase_rad"])) == pytest.approx(
             2705.4266922855413, rel=1e-9
         )
@@ -211,6 +213,23 @@ class TestOptimisticScheduleRollback:
         _, scalar_scene = fused_reader_and_scene(threshold_db=3.0)
         scalar = collect_sweep(scalar_scene, engine="scalar").read_log
         assert fused.reads == scalar.reads
+
+    def test_fallback_time_lands_in_the_stats(self):
+        # The exact schedule counts toward scheduling_s and its physics pass
+        # toward physics_s, so the split accounts for the fallback sweep too.
+        reader, scene = fused_reader_and_scene(threshold_db=3.0)
+        started = time.perf_counter()
+        reader.sweep_events(
+            scene.tags,
+            scene.scenario.antenna_position,
+            scene.scenario.duration_s,
+            scene.scenario.tag_position,
+            scene.rng(),
+        )
+        wall = time.perf_counter() - started
+        stats = reader.last_sweep_stats
+        assert stats["per_round_fallback"]
+        assert stats["scheduling_s"] + stats["physics_s"] >= 0.5 * wall
 
     def test_deep_fades_without_dropouts_never_roll_back(self):
         # With p == 0 no dropout uniform is ever drawn, so deep fades cannot

@@ -285,9 +285,11 @@ class TestOneEngineSelector:
                 batched=False,
             )
 
-    def test_engine_none_is_rejected(self):
+    # "round" named the per-round engine, which is gone.
+    @pytest.mark.parametrize("engine", [None, "round"])
+    def test_unknown_engine_is_rejected(self, engine):
         with pytest.raises(ValueError, match="engine must be one of"):
-            collect_sweep(library_scene(), engine=None)
+            collect_sweep(library_scene(), engine=engine)
 
     def test_backend_module_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
