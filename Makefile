@@ -46,14 +46,19 @@
 #                     tables in docs/figures.md
 #   make examples     run every example under examples/ (CI runs this so
 #                     docs-adjacent code cannot rot)
+#   make layers WORKLOAD=leaderboard
+#                     run one repo-benchmark workload (leaderboard, fleet or
+#                     fleet-chaos) for 10 s with the layer wrappers on and
+#                     print its per-layer table
 
 PYTHON ?= python
+WORKLOAD ?= leaderboard
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: test unit bench-smoke bench-dtw bench-experiments bench-sweep \
 	bench-streaming bench-service check-speedups bench-accuracy \
 	check-accuracy bench-robustness check-robustness check-scenarios \
-	scenario-smoke bench-report examples
+	scenario-smoke bench-report examples layers
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -114,3 +119,6 @@ examples:
 		echo "== $$example"; \
 		$(PYTHON) "$$example"; \
 	done
+
+layers:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seconds 10 --trace 1

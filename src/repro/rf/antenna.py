@@ -20,6 +20,20 @@ import numpy as np
 
 from .geometry import Point3D, euclidean_distances
 
+_FREEZE_SLACK_M = 1e-9
+"""Distance slack of :meth:`ReadingZone.contains_many_frozen`'s radius.
+
+It covers the rounding of the computed tag distances (relative error below
+``4·2⁻⁵³``, so under ``1e-12`` m for coordinates within a kilometre) at both
+ends of a move, and of the caller's antenna displacement."""
+
+_ANGLE_ERROR_RAD = 1e-7
+"""Bound on the error of a computed off-boresight angle.
+
+The computed cosine is within ``10·2⁻⁵³`` of the true one; arccos turns a
+cosine error ``x`` into at most ``sqrt(2x) ≈ 5e-8`` rad near boresight (and
+far less elsewhere)."""
+
 
 @lru_cache(maxsize=None)
 def _unit_boresight_components(
@@ -34,6 +48,14 @@ def _unit_boresight_components(
     v = np.asarray(boresight, dtype=float)
     v = v / np.linalg.norm(v)
     return (float(v[0]), float(v[1]), float(v[2]))
+
+
+@lru_cache(maxsize=None)
+def _unit_boresight_array(boresight: tuple[float, float, float]) -> np.ndarray:
+    """:func:`_unit_boresight_components` as a read-only ``(3,)`` array."""
+    array = np.array(_unit_boresight_components(boresight), dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
@@ -162,25 +184,77 @@ class ReadingZone:
         :meth:`DirectionalAntenna.off_boresight_angles`' normalisation
         bit-for-bit, and the mask matches the scalar method's decisions.
         """
+        norm, angles = self._range_and_angles(antenna_pos, tag_positions)
+        mask = norm <= self.max_range_m
+        if angles is not None:
+            mask &= angles <= math.radians(self.antenna.beamwidth_deg)
+        return mask
+
+    def contains_many_frozen(
+        self, antenna_pos: np.ndarray, tag_positions: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """:meth:`contains_many` plus its freeze radius, for static tags.
+
+        The freeze radius is how far the antenna may move from
+        ``antenna_pos`` before any tag's decision can change::
+
+            min_i min(|R − n_i|, n_i·sin(clip(|θ_i − α| − 2Θ, 0, π/2))) − s
+
+        with ``n_i``/``θ_i`` the tag's distance and off-boresight angle, ``R``
+        the range, ``α`` the beam limit, ``Θ`` =
+        :data:`_ANGLE_ERROR_RAD` and ``s`` = :data:`_FREEZE_SLACK_M`.
+        Both terms are exact bounds: the distance is 1-Lipschitz in the
+        antenna position, and moving the antenna by ``δ < n`` turns the
+        direction to a tag by at most ``asin(δ/n)``.  ``2Θ`` keeps the
+        computed angle on its side of ``α`` both here and at the new position
+        (arccos is ill-conditioned near boresight), and ``s`` does the same
+        for the rounding of the computed distances and of the caller's
+        displacement.  A tag at the antenna (``n_i = 0``) or on a boundary
+        gives a radius below zero: nothing may be reused.
+        """
+        norm, angles = self._range_and_angles(antenna_pos, tag_positions)
+        mask = norm <= self.max_range_m
+        margin = norm - self.max_range_m
+        np.abs(margin, out=margin)
+        if angles is not None:
+            limit = math.radians(self.antenna.beamwidth_deg)
+            mask &= angles <= limit
+            turn = angles - limit
+            np.abs(turn, out=turn)
+            turn -= 2.0 * _ANGLE_ERROR_RAD
+            np.maximum(turn, 0.0, out=turn)
+            np.minimum(turn, math.pi / 2.0, out=turn)
+            np.sin(turn, out=turn)
+            turn *= norm
+            np.minimum(margin, turn, out=margin)
+        return mask, float(margin.min(initial=math.inf)) - _FREEZE_SLACK_M
+
+    def _range_and_angles(
+        self, antenna_pos: np.ndarray, tag_positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each tag's distance and, when beam-limited, off-boresight angle.
+
+        The operands and their order are those of
+        :meth:`DirectionalAntenna.off_boresight_angles` — component-wise
+        squares summed left to right, the displacement divided by the norm,
+        times the unit boresight, the three products summed left to right,
+        clamped to ``[−1, 1]`` — on one ``(…, 3)`` displacement.
+        """
         antenna_pos = np.asarray(antenna_pos, dtype=float)
         tag_positions = np.asarray(tag_positions, dtype=float)
-        dx = tag_positions[..., 0] - antenna_pos[..., 0]
-        dy = tag_positions[..., 1] - antenna_pos[..., 1]
-        dz = tag_positions[..., 2] - antenna_pos[..., 2]
-        norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-        mask = norm <= self.max_range_m
-        if self.beam_limited:
-            antenna = self.antenna
-            degenerate = norm == 0.0
-            safe_norm = np.where(degenerate, 1.0, norm)
-            bx, by, bz = _unit_boresight_components(antenna.boresight)
-            cos_angle = (dx / safe_norm) * bx + (dy / safe_norm) * by + (dz / safe_norm) * bz
-            # np.clip(lo, hi) evaluates min(max(x, lo), hi) elementwise — the
-            # exact expression off_boresight_angles spells out.
-            cos_angle = np.clip(cos_angle, -1.0, 1.0)
-            angles = np.where(degenerate, 0.0, np.arccos(cos_angle))
-            mask = mask & (angles <= math.radians(antenna.beamwidth_deg))
-        return mask
+        offset = tag_positions - antenna_pos
+        squared = offset * offset
+        norm = np.sqrt(squared[..., 0] + squared[..., 1] + squared[..., 2])
+        if not self.beam_limited:
+            return norm, None
+        degenerate = norm == 0.0
+        safe_norm = np.where(degenerate, 1.0, norm)
+        offset /= safe_norm[..., None]
+        offset *= _unit_boresight_array(self.antenna.boresight)
+        cos_angle = np.asarray(offset[..., 0] + offset[..., 1] + offset[..., 2])
+        np.maximum(cos_angle, -1.0, out=cos_angle)
+        np.minimum(cos_angle, 1.0, out=cos_angle)
+        return norm, np.where(degenerate, 0.0, np.arccos(cos_angle))
 
     def contains(self, antenna_pos: Point3D, tag_pos: Point3D) -> bool:
         """Return True if a tag at ``tag_pos`` is readable from ``antenna_pos``."""

@@ -38,6 +38,7 @@ committed digests of ``tests/test_leaderboard_digests.py``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -108,6 +109,11 @@ class _SweepScheduler:
     booleans come from that round's own physics instead, evaluated before its
     noise draw — the schedule for channels too deep-faded to converge by
     correction.
+
+    On static layouts the zone check is skipped while the antenna stays
+    within the freeze radius of the last exact evaluation
+    (:meth:`~repro.rf.antenna.ReadingZone.contains_many_frozen`): no tag's
+    decision can change there, so the previous in-zone array is reused.
 
     Entry state (clock, protocol Q, rng state) is checkpointed every
     :attr:`CHECKPOINT_STRIDE` rounds, so when the physics pass finds a
@@ -189,6 +195,12 @@ class _SweepScheduler:
         parts = self._parts
         checkpoints = self._checkpoints
         clock_buffer = np.empty(1)
+        static_layout = setup.static_layout
+        # Static layouts: the antenna row of the last exact zone evaluation
+        # and how far the antenna may move from it before any tag's decision
+        # can change (ReadingZone.contains_many_frozen).
+        frozen_row: list[float] | None = None
+        freeze_radius = 0.0
 
         stride = self.CHECKPOINT_STRIDE
         while clock < duration_s:
@@ -201,11 +213,17 @@ class _SweepScheduler:
             antenna_row, round_positions = reader._round_start_geometry(
                 setup, antenna_position, clock, clock_buffer
             )
-            in_zone_mask = zone.contains_many(antenna_row, round_positions)
             # Population indices stand in for the id strings: run_round's rng
             # draw depends only on the participant count, and the winners come
             # back as positions into this array.
-            in_zone = np.nonzero(in_zone_mask)[0]
+            if not static_layout:
+                in_zone = np.nonzero(zone.contains_many(antenna_row, round_positions))[0]
+            elif frozen_row is None or math.dist(antenna_row, frozen_row) >= freeze_radius:
+                in_zone_mask, freeze_radius = zone.contains_many_frozen(
+                    antenna_row, round_positions
+                )
+                in_zone = np.nonzero(in_zone_mask)[0]
+                frozen_row = antenna_row.tolist()
 
             success_ids, success_ends, round_time = protocol.run_round_schedule(
                 in_zone, clock, rng
