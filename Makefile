@@ -12,7 +12,8 @@
 #                     simulate/localize/metrics stage breakdown) and write
 #                     BENCH_experiments.json
 #   make bench-sweep  time the sweep simulation, fused engine vs its scalar
-#                     reference loop, and write BENCH_sweep.json
+#                     reference loop (median and spread of 3 runs each), and
+#                     write BENCH_sweep.json
 #   make bench-streaming
 #                     time streaming ingest throughput + provisional-ordering
 #                     latency and write BENCH_streaming.json
@@ -121,4 +122,4 @@ examples:
 	done
 
 layers:
-	python3 perfbench/run.py --workload $(WORKLOAD) --seconds 10 --trace 1
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seconds 10 --trace 1

@@ -15,6 +15,9 @@ the read logs are **bit-identical** (asserted here and pinned by
 ``tests/test_fused_sweep.py``); only the wall clock differs.  Two scenes are
 timed: the headline **static** 200-tag library-style shelf and a **moving**
 warehouse-style conveyor batch that exercises the dense coupling filter.
+Each engine runs :data:`REPEATS` times per scene, the engines alternating;
+the record keeps the median timing, which the speedup uses, and the
+min–max spread.
 
 Baseline caveat: the scalar reference loop shares the batched kernels (one
 ``observe_batch`` call per read), which makes it ~2x slower than the pure
@@ -36,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,6 +54,9 @@ from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_s
 SEED = 2015
 
 ENGINES = ("scalar", "fused")
+
+REPEATS = 3
+"""Timed runs per engine and scene: a median and a spread, not one sample."""
 
 
 def static_scene(tag_count: int):
@@ -77,27 +84,40 @@ def time_sweep(scene_factory, engine: str):
 
 
 def bench_case(name: str, scene_factory) -> dict:
-    """Time both engines on one scene; assert bit-identical logs."""
-    timings = {}
-    logs = {}
-    for engine in ENGINES:
-        timings[engine], logs[engine] = time_sweep(scene_factory, engine)
-    if logs["fused"].reads != logs["scalar"].reads:
+    """Time both engines :data:`REPEATS` times on one scene; assert bit-identical logs."""
+    timings = {engine: [] for engine in ENGINES}
+    logs = {engine: [] for engine in ENGINES}
+    for _ in range(REPEATS):
+        for engine in ENGINES:
+            elapsed, log = time_sweep(scene_factory, engine)
+            timings[engine].append(elapsed)
+            logs[engine].append(log.reads)
+    reference = logs["scalar"][0]
+    if any(reads != reference for engine in ENGINES for reads in logs[engine]):
         raise AssertionError(
             f"{name}: fused and scalar read logs diverged — engine bug"
         )
-    fused_vs_scalar = timings["scalar"] / max(timings["fused"], 1e-9)
+    median = {engine: statistics.median(timings[engine]) for engine in ENGINES}
+    fused_vs_scalar = median["scalar"] / max(median["fused"], 1e-9)
     print(
-        f"{name:>8}: scalar {timings['scalar']:7.2f} s | "
-        f"fused {timings['fused']:7.2f} s | "
+        f"{name:>8}: scalar {median['scalar']:7.3f} s "
+        f"[{min(timings['scalar']):.3f}, {max(timings['scalar']):.3f}] | "
+        f"fused {median['fused']:7.3f} s "
+        f"[{min(timings['fused']):.3f}, {max(timings['fused']):.3f}] | "
         f"fused/scalar {fused_vs_scalar:5.1f}x | "
-        f"{len(logs['fused'])} reads, bit-identical"
+        f"{len(reference)} reads, bit-identical"
     )
+    record = {}
+    for engine in ENGINES:
+        record[f"{engine}_s"] = median[engine]
+        record[f"{engine}_s_spread"] = {
+            "min": min(timings[engine]),
+            "max": max(timings[engine]),
+        }
     return {
-        "scalar_s": timings["scalar"],
-        "fused_s": timings["fused"],
+        **record,
         "speedup_fused_vs_scalar": fused_vs_scalar,
-        "reads": len(logs["fused"]),
+        "reads": len(reference),
         "results_bit_identical": True,
     }
 
@@ -124,7 +144,10 @@ def main() -> None:
     for engine in ENGINES:
         time_sweep(lambda: static_scene(8), engine)
 
-    print(f"static scene: {args.tags} tags | moving scene: ~{args.moving_tags} cartons")
+    print(
+        f"static scene: {args.tags} tags | moving scene: ~{args.moving_tags} cartons | "
+        f"{REPEATS} runs per engine, median [min, max]"
+    )
     static = bench_case("static", lambda: static_scene(args.tags))
     moving = bench_case("moving", lambda: moving_scene(args.moving_tags))
 
@@ -133,6 +156,7 @@ def main() -> None:
         "platform": platform.platform(),
         "seed": SEED,
         "cpu_count": os.cpu_count() or 1,
+        "repeats": REPEATS,
         "scenes": {
             "static": {"tag_count": args.tags, **static},
             "moving": {"carton_count": args.moving_tags, **moving},
@@ -157,6 +181,7 @@ def main() -> None:
             scale={
                 "static_tags": args.tags,
                 "moving_cartons": args.moving_tags,
+                "repeats": REPEATS,
             },
             history=args.history,
             timestamp=payload["generated_at"],

@@ -158,6 +158,9 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
             "scenes.static.scalar_s",
             "scenes.static.fused_s",
             "scenes.static.speedup_fused_vs_scalar",
+            "scenes.moving.scalar_s",
+            "scenes.moving.fused_s",
+            "scenes.moving.speedup_fused_vs_scalar",
             "cpu_count",
         ),
     ),

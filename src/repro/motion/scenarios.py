@@ -35,6 +35,16 @@ TagPositionFn = Callable[[str, float], Point3D]
 # a ``Point3D`` per (tag, time) query.  Every provider's ``__call__`` and
 # ``positions_at`` evaluate the identical arithmetic elementwise, so the
 # scalar and batched sweeps observe bit-identical positions.
+#
+# Rigid layouts — every tag moved by one shared displacement ``d(t)``, so the
+# tags' rows at ``t`` are ``start + d(t)`` — also answer ``displacement_at``
+# with that ``d(t)`` as Python floats, computed by the same arithmetic their
+# ``positions_at`` applies.  The relative geometry is then a static layout
+# seen from ``antenna(t) − d(t)``, which lets the sweep scheduler reuse a
+# round's reading-zone decisions (see ``RFIDReader``); static layouts are the
+# case ``d ≡ 0``.  Antenna providers answer ``position_xyz`` with their
+# position at ``t`` as Python floats, by the same IEEE operations as their
+# ``positions_at``.
 # ---------------------------------------------------------------------------
 
 
@@ -44,13 +54,14 @@ class StaticAntennaPosition:
     def __init__(self, position: Point3D) -> None:
         self.position = position
         self._row = position.as_array()
+        self._xyz = tuple(self._row.tolist())
 
     def __call__(self, _time_s: float) -> Point3D:
         return self.position
 
-    def position_row(self, _time_s: float) -> np.ndarray:
-        """The fixed position as a ``(3,)`` row (cached; treat as read-only)."""
-        return self._row
+    def position_xyz(self, _time_s: float) -> tuple[float, float, float]:
+        """The fixed position as three Python floats."""
+        return self._xyz
 
     def positions_at(self, times_s: np.ndarray) -> np.ndarray:
         """The fixed position broadcast to ``(T, 3)``."""
@@ -67,12 +78,13 @@ class TrajectoryAntennaPosition:
     def __call__(self, time_s: float) -> Point3D:
         return self.trajectory.position(time_s)
 
-    def position_row(self, time_s: float) -> np.ndarray:
-        """Position at ``time_s`` as a raw ``(3,)`` row (same arithmetic)."""
-        row_fn = getattr(self.trajectory, "position_row", None)
-        if row_fn is not None:
-            return row_fn(time_s)
-        return self.trajectory.position(time_s).as_array()
+    def position_xyz(self, time_s: float) -> tuple[float, float, float]:
+        """Position at ``time_s`` as three Python floats (same arithmetic)."""
+        xyz_fn = getattr(self.trajectory, "position_xyz", None)
+        if xyz_fn is not None:
+            return xyz_fn(time_s)
+        point = self.trajectory.position(time_s)
+        return (float(point.x), float(point.y), float(point.z))
 
     def positions_at(self, times_s: np.ndarray) -> np.ndarray:
         """Positions at each time as ``(T, 3)`` (see trajectory.positions_at)."""
@@ -160,6 +172,10 @@ class StaticTagPositions(_TagPositionsBase):
         """Static layout: the paired positions are just the stored rows."""
         return self._paired_start_rows(tag_ids)
 
+    def displacement_at(self, _time_s: float) -> tuple[float, float, float]:
+        """The shared displacement of a static layout: ``d ≡ 0``."""
+        return (0.0, 0.0, 0.0)
+
 
 class ConstantVelocityTagPositions(_TagPositionsBase):
     """Tags translating together at a constant velocity (plain belt)."""
@@ -202,6 +218,11 @@ class ConstantVelocityTagPositions(_TagPositionsBase):
         displacement[:, 1] = self.velocity[1] * times
         displacement[:, 2] = self.velocity[2] * times
         return base + displacement
+
+    def displacement_at(self, time_s: float) -> tuple[float, float, float]:
+        """The shared displacement ``velocity * t`` that :meth:`positions_at` adds."""
+        vx, vy, vz = self.velocity
+        return (vx * time_s, vy * time_s, vz * time_s)
 
 
 class BeltTagPositions(_TagPositionsBase):
@@ -247,6 +268,15 @@ class BeltTagPositions(_TagPositionsBase):
         out = self._paired_start_rows(tag_ids)
         out[:, 0] = out[:, 0] - distances
         return out
+
+    def displacement_at(self, time_s: float) -> tuple[float, float, float]:
+        """The shared displacement ``(−distance_at(t), 0, 0)``.
+
+        :meth:`positions_at` subtracts the profile's vectorized distance,
+        which equals ``distance_at`` bit for bit; ``x − d == x + (−d)``
+        exactly in IEEE arithmetic.
+        """
+        return (-self.speed_profile.distance_at(time_s), 0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,20 +20,25 @@ from .speed_profiles import ConstantSpeedProfile, SpeedProfile
 
 
 @lru_cache(maxsize=256)
-def _endpoint_arrays(start: Point3D, end: Point3D) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(start row, end row, path length)`` cached per endpoint pair.
+def _endpoint_components(
+    start: Point3D, end: Point3D
+) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
+    """``(start, end − start, path length)`` as Python floats, per endpoint pair.
 
     Trajectories are frozen, but the sweep loop samples them once per
-    inventory round; caching the endpoint arrays (read-only) and the length
-    keeps that per-round cost to the interpolation arithmetic alone.  The
-    cache is bounded: long-lived processes build a fresh trajectory per
-    randomized scene, and only the currently sweeping one needs to be hot.
+    inventory round; caching the endpoint components and the length keeps
+    that per-round cost to the interpolation arithmetic alone.  ``end −
+    start`` is the same per-coordinate subtraction :meth:`LinearTrajectory.
+    positions_at` does on rows.  The cache is bounded: long-lived processes
+    build a fresh trajectory per randomized scene, and only the currently
+    sweeping one needs to be hot.
     """
-    start_row = start.as_array()
-    end_row = end.as_array()
-    start_row.setflags(write=False)
-    end_row.setflags(write=False)
-    return start_row, end_row, start.distance_to(end)
+    sx, sy, sz = float(start.x), float(start.y), float(start.z)
+    return (
+        (sx, sy, sz),
+        (float(end.x) - sx, float(end.y) - sy, float(end.z) - sz),
+        start.distance_to(end),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,19 +65,21 @@ class LinearTrajectory:
 
     def position(self, time_s: float) -> Point3D:
         """Position at ``time_s``; clamped to the endpoints outside [0, duration]."""
-        return Point3D(*self.position_row(time_s))
+        return Point3D(*self.position_xyz(time_s))
 
-    def position_row(self, time_s: float) -> np.ndarray:
-        """:meth:`position` as a raw ``(3,)`` row — the sweep loop's form.
+    def position_xyz(self, time_s: float) -> tuple[float, float, float]:
+        """:meth:`position` as three Python floats — the sweep loop's form.
 
-        Identical arithmetic to :meth:`position` (which unpacks this row into
-        a :class:`Point3D`); exposed so per-round consumers skip the wrapper
-        object.
+        ``start + fraction · (end − start)`` per coordinate, the same IEEE
+        operations :meth:`positions_at` applies elementwise, without building
+        a wrapper object or an array.
         """
-        start, end, path_length = _endpoint_arrays(self.start, self.end)
+        (sx, sy, sz), (dx, dy, dz), path_length = _endpoint_components(
+            self.start, self.end
+        )
         distance = self.speed_profile.distance_at(time_s)
         fraction = min(1.0, max(0.0, distance / path_length))
-        return start + fraction * (end - start)
+        return (sx + fraction * dx, sy + fraction * dy, sz + fraction * dz)
 
     def progress(self, time_s: float) -> float:
         """Fraction of the path covered at ``time_s``, clamped to [0, 1]."""

@@ -23,9 +23,22 @@ from .geometry import Point3D, euclidean_distances
 _FREEZE_SLACK_M = 1e-9
 """Distance slack of :meth:`ReadingZone.contains_many_frozen`'s radius.
 
-It covers the rounding of the computed tag distances (relative error below
-``4·2⁻⁵³``, so under ``1e-12`` m for coordinates within a kilometre) at both
-ends of a move, and of the caller's antenna displacement."""
+It covers every rounding between the frozen evaluation and a later round
+that reuses it, each far below ``1e-9`` m for coordinates within a
+kilometre (half an ulp there is ``2⁻⁵³·10³ m ≈ 1.1e-13`` m):
+
+* the computed tag distances, relative error below ``4·2⁻⁵³`` (under
+  ``1e-12`` m), at both ends of a move;
+* the caller's measure of the antenna's move, ``math.dist`` of two rows;
+* on a rigid layout, whose tag rows at ``t`` are ``start + d(t)``, the
+  rounding of ``start + d(t)`` (half an ulp per coordinate, at both ends)
+  and of the relative antenna rows ``antenna(t) − d(t)`` the move is
+  measured on (half an ulp per coordinate, at both ends).  With ``ε_i`` the
+  rounding of tag ``i``'s row at ``t₀`` minus that at ``t₁``, tag ``i`` at
+  ``t₁`` sits relative to ``antenna(t₁)`` exactly as its frozen row sits
+  relative to ``antenna(t₁) − d(t₁) + d(t₀) + ε_i``, so the move seen by tag
+  ``i`` differs from the measured one by under ``4·√3`` half-ulps, below
+  ``1e-12`` m."""
 
 _ANGLE_ERROR_RAD = 1e-7
 """Bound on the error of a computed off-boresight angle.
@@ -193,10 +206,11 @@ class ReadingZone:
     def contains_many_frozen(
         self, antenna_pos: np.ndarray, tag_positions: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """:meth:`contains_many` plus its freeze radius, for static tags.
+        """:meth:`contains_many` plus its freeze radius.
 
         The freeze radius is how far the antenna may move from
-        ``antenna_pos`` before any tag's decision can change::
+        ``antenna_pos`` *relative to the tags* before any tag's decision can
+        change::
 
             min_i min(|R − n_i|, n_i·sin(clip(|θ_i − α| − 2Θ, 0, π/2))) − s
 
@@ -211,6 +225,12 @@ class ReadingZone:
         for the rounding of the computed distances and of the caller's
         displacement.  A tag at the antenna (``n_i = 0``) or on a boundary
         gives a radius below zero: nothing may be reused.
+
+        Static tags are one case.  Tags that all move by one displacement
+        ``d(t)`` (a belt) are the other: their geometry at ``t`` is the
+        frozen layout seen from ``antenna(t) − d(t)``, so the caller measures
+        the move on that relative row; :data:`_FREEZE_SLACK_M` covers the
+        extra rounding.
         """
         norm, angles = self._range_and_angles(antenna_pos, tag_positions)
         mask = norm <= self.max_range_m

@@ -84,6 +84,27 @@ class NoiseModel:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-event noise draws given precomputed deep-fade booleans.
 
+        Array form of :meth:`draw_event_noise_lists`, which holds the draw
+        order.  Splitting the booleans from the fade values is what enables
+        the fused two-phase sweep: the scheduling phase draws noise under
+        *assumed* booleans before any physics has run, and the physics phase
+        verifies the assumption afterwards (rolling the generator back on the
+        rare mis-guess).
+        """
+        dropped, phase_noise, rssi_noise = self.draw_event_noise_lists(
+            np.asarray(deep_fade).tolist(), rng
+        )
+        return (
+            np.array(dropped, dtype=bool),
+            np.array(phase_noise, dtype=float),
+            np.array(rssi_noise, dtype=float),
+        )
+
+    def draw_event_noise_lists(
+        self, deep_fade: list[bool], rng: np.random.Generator
+    ) -> tuple[list[bool], list[float], list[float]]:
+        """The per-event draws as Python lists — the scheduler's per-round form.
+
         This is the single production implementation of the per-event
         draw-order contract: each event consumes the generator exactly as the
         scalar methods would in the sequence ``read_dropped`` →
@@ -91,31 +112,29 @@ class NoiseModel:
         fade is above the threshold (``deep_fade`` false) and the dropout
         probability is non-zero, then one normal per enabled noise term.
 
-        Splitting the booleans from the fade values is what enables the
-        fused two-phase sweep: the scheduling phase draws noise under
-        *assumed* booleans before any physics has run, and the physics phase
-        verifies the assumption afterwards (rolling the generator back on the
-        rare mis-guess).
+        ``rng.normal(0.0, std)`` is NumPy's ``loc + scale * z`` on one
+        ``standard_normal`` draw ``z``, so ``0.0 + std * z`` from a bound
+        ``rng.standard_normal`` is the same value bit for bit and consumes the
+        generator identically, without the per-call argument handling.
         """
-        count = int(deep_fade.shape[0])
+        count = len(deep_fade)
         dropout_p = self.random_dropout_probability
         phase_std = self.phase_noise_std_rad
         rssi_std = self.rssi_noise_std_db
-        dropped = np.zeros(count, dtype=bool)
-        phase_noise = np.zeros(count)
-        rssi_noise = np.zeros(count)
-        # One bulk conversion instead of a NumPy scalar read per event: this
-        # loop runs once per inventory round on the sweep's critical path.
-        deep_list = np.asarray(deep_fade).tolist()
-        for i, deep in enumerate(deep_list):
+        uniform = rng.random
+        standard_normal = rng.standard_normal
+        dropped = [False] * count
+        phase_noise = [0.0] * count
+        rssi_noise = [0.0] * count
+        for i, deep in enumerate(deep_fade):
             if deep:
                 dropped[i] = True
             elif dropout_p != 0.0:
-                dropped[i] = rng.random() < dropout_p
+                dropped[i] = uniform() < dropout_p
             if phase_std != 0.0:
-                phase_noise[i] = rng.normal(0.0, phase_std)
+                phase_noise[i] = 0.0 + phase_std * standard_normal()
             if rssi_std != 0.0:
-                rssi_noise[i] = rng.normal(0.0, rssi_std)
+                rssi_noise[i] = 0.0 + rssi_std * standard_normal()
         return dropped, phase_noise, rssi_noise
 
 

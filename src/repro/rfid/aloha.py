@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-
 class SlotOutcome(Enum):
     """What happened in a single ALOHA slot."""
 
@@ -114,8 +113,6 @@ class FrameSlottedAloha:
 
     def __post_init__(self) -> None:
         self._q_algorithm = QAlgorithm(q_fp=self.initial_q)
-        self._duration_lut: np.ndarray | None = None
-        self._ends_buffer: np.ndarray | None = None
 
     @property
     def current_q(self) -> int:
@@ -184,88 +181,82 @@ class FrameSlottedAloha:
 
     def run_round_schedule(
         self,
-        tag_ids: Sequence[str],
+        tag_ids: "Sequence[str] | np.ndarray",
         start_time_s: float,
         rng: np.random.Generator,
-    ) -> "tuple[list[str] | np.ndarray, np.ndarray, float]":
-        """Scheduling-only round: the array-native twin of :meth:`run_round`.
+    ) -> "tuple[list, list[float], float]":
+        """Scheduling-only round: the list-returning twin of :meth:`run_round`.
 
-        Returns ``(success_tag_ids, success_end_times, round_duration_s)``
-        without materialising a :class:`SlotEvent` per slot; when ``tag_ids``
-        is an index array (the fused scheduler's form) the winners come back
-        as an array too.  The fused
-        two-phase sweep engine runs hundreds of rounds per sweep, and the
-        per-slot dataclass construction of :meth:`run_round` dominates its
-        scheduling cost; this path computes the identical outcome from the
-        same single ``rng.integers`` draw:
+        Returns ``(success_tag_ids, success_end_times, round_duration_s)`` as
+        Python lists, without materialising a :class:`SlotEvent` per slot;
+        when ``tag_ids`` is an index array (the fused scheduler's form) the
+        winners come back as Python ints.  The fused two-phase sweep engine
+        runs thousands of rounds per sweep, and the per-slot dataclass
+        construction of :meth:`run_round` would dominate its scheduling cost;
+        this path computes the identical outcome from the same single
+        ``rng.integers`` draw:
 
-        * slot end times accumulate through ``np.cumsum``, whose sequential
-          left-to-right adds replicate the scalar loop's ``clock += duration``
-          float-for-float;
+        * slot end times accumulate sequentially, left to right, replicating
+          the scalar loop's ``clock += duration`` float-for-float;
         * the adaptive Q walk replays :meth:`QAlgorithm.on_slot`'s exact
-          ``min``/``max`` arithmetic per slot (on outcome codes, not event
+          ``min``/``max`` arithmetic per slot (on occupancy counts, not event
           objects), leaving the protocol state bit-identical.
 
         ``tests/test_fused_sweep.py`` pins the equivalence against
-        :meth:`run_round`.
+        :meth:`run_round`, with Hypothesis.  Plain Python lists beat
+        NumPy here: nearly every round has at most a few dozen slots and
+        tags, where ~15 fixed-cost NumPy calls cost more than the loops.
         """
         timings = self.timings
         first_slot_start = start_time_s + timings.round_overhead_s
         frame_size = self._q_algorithm.frame_size
+        population = len(tag_ids)
 
-        if len(tag_ids) == 0:
+        if population == 0:
             # An empty round still burns one empty slot of air time (and,
             # like run_round, skips the Q update).
             end = first_slot_start + timings.empty_slot_s
             duration = (end - first_slot_start) + timings.round_overhead_s
-            return [], np.empty(0), duration
+            return [], [], duration
 
-        chosen = rng.integers(0, frame_size, size=len(tag_ids))
-        counts = np.bincount(chosen, minlength=frame_size)
-        if self._duration_lut is None:
-            # Slot duration by occupancy class: 0 empty, 1 success, 2+ collision.
-            self._duration_lut = np.array(
-                [timings.empty_slot_s, timings.success_slot_s, timings.collision_slot_s]
-            )
-        durations = self._duration_lut[np.minimum(counts, 2)]
-        # ends[0] is the first slot's start; ends[k + 1] is slot k's end.
-        # In-place left-to-right accumulate == the scalar loop's sequential
-        # ``clock += duration`` float-for-float.  The buffer is reused across
-        # rounds: nothing below escapes except fancy-indexed copies.
-        ends = self._ends_buffer
-        if ends is None or ends.size != frame_size + 1:
-            self._ends_buffer = ends = np.empty(frame_size + 1)
-        ends[0] = first_slot_start
-        ends[1:] = durations
-        np.add.accumulate(ends, out=ends)
+        chosen = rng.integers(0, frame_size, size=population).tolist()
+        empty_s = timings.empty_slot_s
+        success_s = timings.success_slot_s
+        collision_s = timings.collision_slot_s
+        counts = [0] * frame_size
+        owner = [0] * frame_size
+        for index, slot in enumerate(chosen):
+            counts[slot] += 1
+            owner[slot] = index
 
-        if self.adaptive:
-            algorithm = self._q_algorithm
-            q_fp = algorithm.q_fp
-            c = algorithm.c
-            q_min = algorithm.q_min
-            q_max = algorithm.q_max
-            # Successful slots never move Q, so replaying only the empty and
-            # collision slots (in slot order) walks the same clamped path.
-            for occupancy in counts[counts != 1].tolist():
-                if occupancy == 0:
+        algorithm = self._q_algorithm
+        adaptive = self.adaptive
+        q_fp = algorithm.q_fp
+        c = algorithm.c
+        q_min = algorithm.q_min
+        q_max = algorithm.q_max
+        clock = first_slot_start
+        winners: list[int] = []
+        success_ends: list[float] = []
+        for slot, occupancy in enumerate(counts):
+            if occupancy == 1:
+                clock += success_s
+                winners.append(owner[slot])
+                success_ends.append(clock)
+            elif occupancy == 0:
+                clock += empty_s
+                if adaptive:
                     q_fp = max(q_min, q_fp - c)
-                else:
+            else:
+                clock += collision_s
+                if adaptive:
                     q_fp = min(q_max, q_fp + c)
-            algorithm.q_fp = q_fp
+        algorithm.q_fp = q_fp
 
-        winners = np.nonzero(counts[chosen] == 1)[0]
-        winner_slots = chosen[winners]
-        order = np.argsort(winner_slots)
-        winners = winners[order]
         if isinstance(tag_ids, np.ndarray):
-            # Index-array form (the fused scheduler): winners gather in one
-            # fancy index, no per-winner Python objects.
-            success_ids = tag_ids[winners]
-        else:
-            success_ids = [tag_ids[i] for i in winners]
-        success_ends = ends[winner_slots[order] + 1]
-        duration = (float(ends[-1]) - float(ends[0])) + timings.round_overhead_s
+            tag_ids = tag_ids.tolist()
+        success_ids = [tag_ids[index] for index in winners]
+        duration = (clock - first_slot_start) + timings.round_overhead_s
         return success_ids, success_ends, duration
 
     def round_duration_s(self, events: Sequence[SlotEvent]) -> float:

@@ -40,7 +40,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -88,9 +90,12 @@ class _SweepSetup:
     ids: list[str]
     mu_by_tag: np.ndarray
     provider: object
-    static_layout: bool
+    displacement_at: object
+    """The provider's shared rigid displacement ``d(t)``, or None when the
+    layout is not rigid (plain callables): the zone is then checked every
+    round."""
     antenna_positions_at: object
-    antenna_position_row: object
+    antenna_xyz: Callable[[float], tuple[float, float, float]]
     coupling_on: bool
     radius: float
     base_positions: np.ndarray | None
@@ -110,10 +115,14 @@ class _SweepScheduler:
     noise draw — the schedule for channels too deep-faded to converge by
     correction.
 
-    On static layouts the zone check is skipped while the antenna stays
-    within the freeze radius of the last exact evaluation
+    On rigid layouts (static, or every tag moved by one displacement
+    ``d(t)``) the zone check is skipped while the antenna *relative to the
+    tags*, ``antenna(t) − d(t)``, stays within the freeze radius of the last
+    exact evaluation
     (:meth:`~repro.rf.antenna.ReadingZone.contains_many_frozen`): no tag's
-    decision can change there, so the previous in-zone array is reused.
+    decision can change there, so the previous in-zone array is reused, and
+    the round reads the antenna as Python floats without building a row or
+    querying tag positions.
 
     Entry state (clock, protocol Q, rng state) is checkpointed every
     :attr:`CHECKPOINT_STRIDE` rounds, so when the physics pass finds a
@@ -140,14 +149,14 @@ class _SweepScheduler:
         self._antenna_position = antenna_position
         self._duration_s = duration_s
         self._rng = rng
-        # One entry per event-bearing round: (round id, times, tag indices,
-        # dropped, phase noise, rssi noise, assumed deep).
+        # One entry per event-bearing round, as Python lists: (round id,
+        # times, tag indices, dropped, phase noise, rssi noise, assumed deep).
         self._parts: list[tuple] = []
         # Snapshot per CHECKPOINT_STRIDE-th round:
         # round index -> (clock, protocol q_fp, rng state).
         self._checkpoints: dict[int, tuple[float, float, dict]] = {}
 
-    def run(self, corrections: "dict[int, np.ndarray]") -> SweepEventTable:
+    def run(self, corrections: "dict[int, list[bool]]") -> SweepEventTable:
         """Schedule the whole sweep from the beginning."""
         self._parts.clear()
         self._checkpoints.clear()
@@ -156,7 +165,7 @@ class _SweepScheduler:
     def resume(
         self,
         round_index: int,
-        corrections: "dict[int, np.ndarray]",
+        corrections: "dict[int, list[bool]]",
         exact: bool = False,
     ) -> SweepEventTable:
         """Replay the schedule from ``round_index``'s nearest checkpoint.
@@ -181,7 +190,7 @@ class _SweepScheduler:
         self,
         round_index: int,
         clock: float,
-        corrections: "dict[int, np.ndarray]",
+        corrections: "dict[int, list[bool]]",
         exact: bool = False,
     ) -> SweepEventTable:
         reader = self._reader
@@ -190,16 +199,21 @@ class _SweepScheduler:
         duration_s = self._duration_s
         rng = self._rng
         zone = reader.config.reading_zone
-        noise = reader.config.channel.noise
+        draw_noise = reader.config.channel.noise.draw_event_noise_lists
+        run_round = reader.protocol.run_round_schedule
         protocol = reader.protocol
         parts = self._parts
         checkpoints = self._checkpoints
+        ids = setup.ids
+        provider = setup.provider
+        base_positions = setup.base_positions
+        antenna_xyz = setup.antenna_xyz
+        displacement_at = setup.displacement_at
         clock_buffer = np.empty(1)
-        static_layout = setup.static_layout
-        # Static layouts: the antenna row of the last exact zone evaluation
-        # and how far the antenna may move from it before any tag's decision
-        # can change (ReadingZone.contains_many_frozen).
-        frozen_row: list[float] | None = None
+        # Rigid layouts: the relative antenna row (antenna − d) of the last
+        # exact zone evaluation, and how far it may move from there before
+        # any tag's decision can change (ReadingZone.contains_many_frozen).
+        frozen_row: tuple[float, float, float] | None = None
         freeze_radius = 0.0
 
         stride = self.CHECKPOINT_STRIDE
@@ -210,42 +224,56 @@ class _SweepScheduler:
                     protocol.scheduling_checkpoint(),
                     rng.bit_generator.state,
                 )
-            antenna_row, round_positions = reader._round_start_geometry(
-                setup, antenna_position, clock, clock_buffer
-            )
             # Population indices stand in for the id strings: run_round's rng
             # draw depends only on the participant count, and the winners come
             # back as positions into this array.
-            if not static_layout:
-                in_zone = np.nonzero(zone.contains_many(antenna_row, round_positions))[0]
-            elif frozen_row is None or math.dist(antenna_row, frozen_row) >= freeze_radius:
-                in_zone_mask, freeze_radius = zone.contains_many_frozen(
-                    antenna_row, round_positions
+            ax, ay, az = antenna_xyz(clock)
+            if displacement_at is None:
+                clock_buffer[0] = clock
+                in_zone = np.flatnonzero(
+                    zone.contains_many(
+                        np.array((ax, ay, az)),
+                        provider.positions_at(ids, clock_buffer)[0],
+                    )
                 )
-                in_zone = np.nonzero(in_zone_mask)[0]
-                frozen_row = antenna_row.tolist()
+            else:
+                dx, dy, dz = displacement_at(clock)
+                relative_row = (ax - dx, ay - dy, az - dz)
+                if (
+                    frozen_row is None
+                    or math.dist(relative_row, frozen_row) >= freeze_radius
+                ):
+                    if base_positions is None:
+                        clock_buffer[0] = clock
+                        round_positions = provider.positions_at(ids, clock_buffer)[0]
+                    else:
+                        round_positions = base_positions
+                    in_zone_mask, freeze_radius = zone.contains_many_frozen(
+                        np.array((ax, ay, az)), round_positions
+                    )
+                    in_zone = np.flatnonzero(in_zone_mask)
+                    frozen_row = relative_row
 
-            success_ids, success_ends, round_time = protocol.run_round_schedule(
-                in_zone, clock, rng
-            )
-            if len(success_ids):
+            success_ids, success_ends, round_time = run_round(in_zone, clock, rng)
+            if success_ids:
                 # Slot end times are monotone, so this prefix filter equals
                 # the scalar loop's "first read past the deadline breaks".
-                count = int(np.searchsorted(success_ends, duration_s, side="right"))
+                count = bisect_right(success_ends, duration_s)
                 if count:
                     times = success_ends[:count]
-                    tag_indices = np.asarray(success_ids[:count], dtype=np.intp)
+                    tag_indices = success_ids[:count]
                     if exact:
                         assumed = reader._event_physics(
-                            setup, antenna_position, times, tag_indices
-                        ).deep_fade
+                            setup,
+                            antenna_position,
+                            np.array(times),
+                            np.array(tag_indices, dtype=np.intp),
+                        ).deep_fade.tolist()
                     else:
                         assumed = corrections.get(round_index)
                         if assumed is None:
-                            assumed = np.zeros(count, dtype=bool)
-                    dropped, phase_noise, rssi_noise = (
-                        noise.draw_event_noise_scheduled(assumed, rng)
-                    )
+                            assumed = [False] * count
+                    dropped, phase_noise, rssi_noise = draw_noise(assumed, rng)
                     parts.append(
                         (
                             round_index,
@@ -267,24 +295,19 @@ class _SweepScheduler:
 
     def _build_table(self, round_count: int) -> SweepEventTable:
         parts = self._parts
-        if parts:
-            round_ids = np.concatenate(
-                [np.full(part[1].size, part[0], dtype=np.intp) for part in parts]
+        round_ids = np.repeat(
+            np.array([part[0] for part in parts], dtype=np.intp),
+            np.array([len(part[1]) for part in parts], dtype=np.intp),
+        )
+        # The per-round parts are Python lists: one conversion per column.
+        dtypes = (float, np.intp, bool, float, float, bool)
+        columns = tuple(
+            np.array(
+                list(chain.from_iterable(part[position] for part in parts)),
+                dtype=dtype,
             )
-            columns = tuple(
-                np.concatenate([part[position] for part in parts])
-                for position in range(1, 7)
-            )
-        else:
-            round_ids = np.empty(0, dtype=np.intp)
-            columns = (
-                np.empty(0),
-                np.empty(0, dtype=np.intp),
-                np.empty(0, dtype=bool),
-                np.empty(0),
-                np.empty(0),
-                np.empty(0, dtype=bool),
-            )
+            for position, dtype in enumerate(dtypes, start=1)
+        )
         reader = self._reader
         return SweepEventTable(
             tag_ids=list(self._setup.ids),
@@ -342,6 +365,26 @@ class ReaderConfig:
                 "tag coupling radius must be positive "
                 f"(use coefficient 0 to disable coupling), got {self.tag_coupling_radius_m}"
             )
+
+
+def _antenna_xyz_query(
+    antenna_position: AntennaPositionFn,
+) -> Callable[[float], tuple[float, float, float]]:
+    """The antenna position at ``t`` as three Python floats.
+
+    Uses the provider's ``position_xyz`` when it has one (the standard
+    antenna providers, by the same IEEE operations as their ``__call__``);
+    plain callables give a :class:`Point3D`.
+    """
+    xyz = getattr(antenna_position, "position_xyz", None)
+    if xyz is not None:
+        return xyz
+
+    def from_point(time_s: float) -> tuple[float, float, float]:
+        point = antenna_position(time_s)
+        return (float(point.x), float(point.y), float(point.z))
+
+    return from_point
 
 
 class _CallableTagPositions:
@@ -603,7 +646,6 @@ class RFIDReader:
         provider = self._resolve_tag_positions(tag_position, tags)
         static_layout = bool(getattr(provider, "is_static", False))
         antenna_positions_at = getattr(antenna_position, "positions_at", None)
-        antenna_position_row = getattr(antenna_position, "position_row", None)
 
         coupling_on = config.tag_coupling_coefficient > 0.0 and population > 1
         radius = config.tag_coupling_radius_m
@@ -620,40 +662,14 @@ class RFIDReader:
             ids=ids,
             mu_by_tag=mu_by_tag,
             provider=provider,
-            static_layout=static_layout,
+            displacement_at=getattr(provider, "displacement_at", None),
             antenna_positions_at=antenna_positions_at,
-            antenna_position_row=antenna_position_row,
+            antenna_xyz=_antenna_xyz_query(antenna_position),
             coupling_on=coupling_on,
             radius=radius,
             base_positions=base_positions,
             grid=grid,
         )
-
-    def _round_start_geometry(
-        self,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        clock: float,
-        clock_buffer: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(antenna row, tag rows) at a round's start — the zone-check inputs.
-
-        Called once per scheduled round.  Uses the providers' row-level
-        queries when available (identical arithmetic to the ``Point3D``
-        forms) and a caller-owned one-element time buffer, so the per-round
-        geometry costs no wrapper objects or allocations beyond the
-        providers' own outputs.
-        """
-        if setup.antenna_position_row is not None:
-            antenna_row = setup.antenna_position_row(clock)
-        else:
-            antenna_row = antenna_position(clock).as_array()
-        if setup.static_layout:
-            round_positions = setup.base_positions
-        else:
-            clock_buffer[0] = clock
-            round_positions = setup.provider.positions_at(setup.ids, clock_buffer)[0]
-        return antenna_row, round_positions
 
     def sweep_stream(
         self,
@@ -732,7 +748,7 @@ class RFIDReader:
         }
 
         scheduler = _SweepScheduler(self, setup, antenna_position, duration_s, rng)
-        corrections: dict[int, np.ndarray] = {}
+        corrections: dict[int, list[bool]] = {}
         resume_round: int | None = None
         exact = False
         while True:
@@ -772,7 +788,7 @@ class RFIDReader:
             # across the replay.
             first_round = int(table.round_ids[int(np.argmax(mistaken))])
             round_rows = table.round_ids == first_round
-            corrections[first_round] = table.deep_fade[round_rows].copy()
+            corrections[first_round] = table.deep_fade[round_rows].tolist()
             resume_round = first_round
             stats["rolled_back_rounds"] += 1
 

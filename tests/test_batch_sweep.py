@@ -16,6 +16,7 @@ from repro.motion.scenarios import (
     ConstantVelocityTagPositions,
     StaticAntennaPosition,
     StaticTagPositions,
+    TrajectoryAntennaPosition,
 )
 from repro.motion.speed_profiles import (
     ConstantSpeedProfile,
@@ -217,6 +218,39 @@ class TestArrayNativeMotion:
         rows = antenna.positions_at(np.array([0.0, 1.0, 2.0]))
         assert rows.shape == (3, 3)
         assert (rows == [1.0, 2.0, 3.0]).all()
+
+    def test_rigid_displacement_matches_positions_at(self):
+        points = {"a": Point3D(0.0, 0.1, 0.0), "b": Point3D(0.4, -0.1, 0.2)}
+        ids = ["a", "b"]
+        starts = np.array([[p.x, p.y, p.z] for p in points.values()])
+        times = np.linspace(-0.3, 4.0, 23)
+        providers = [
+            StaticTagPositions(points),
+            ConstantVelocityTagPositions(points, (-0.3, 0.02, 0.01)),
+            BeltTagPositions(
+                points, jittered_speed_profile(0.25, 5.0, rng=np.random.default_rng(9))
+            ),
+        ]
+        for provider in providers:
+            rows = provider.positions_at(ids, times)
+            for t_index, t in enumerate(times):
+                shift = provider.displacement_at(float(t))
+                assert all(type(value) is float for value in shift)
+                assert (rows[t_index] == starts + np.array(shift)).all()
+
+    def test_antenna_position_xyz_matches_positions_at(self):
+        profile = jittered_speed_profile(0.3, 5.0, rng=np.random.default_rng(4))
+        trajectory = LinearTrajectory(Point3D(0, 0.1, 0.3), Point3D(2, -0.2, 0.4), profile)
+        times = np.linspace(-0.5, trajectory.duration_s + 1.0, 61)
+        for antenna in (
+            TrajectoryAntennaPosition(trajectory),
+            StaticAntennaPosition(Point3D(1.0, 2.0, 3.0)),
+        ):
+            rows = antenna.positions_at(times)
+            for t, row in zip(times, rows):
+                xyz = antenna.position_xyz(float(t))
+                assert all(type(value) is float for value in xyz)
+                assert (row == list(xyz)).all()
 
 
 class TestColumnarReadLog:

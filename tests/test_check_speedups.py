@@ -110,6 +110,43 @@ def test_floor_override_is_respected(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def write_sweep(tmp_path: Path, moving_speedup: float | None = 8.8) -> None:
+    scene = {"scalar_s": 1.0, "fused_s": 0.1, "results_bit_identical": True}
+    scenes = {"static": {**scene, "speedup_fused_vs_scalar": 40.0}}
+    if moving_speedup is not None:
+        scenes["moving"] = {**scene, "speedup_fused_vs_scalar": moving_speedup}
+    payload = {
+        "generated_at": "2026-08-08T00:00:00+00:00",
+        "platform": "test-host",
+        "seed": 2015,
+        "cpu_count": 2,
+        "scenes": scenes,
+    }
+    (tmp_path / "BENCH_sweep.json").write_text(json.dumps(payload))
+
+
+def test_moving_scene_regression_fails_the_sweep_gate(tmp_path):
+    write_sweep(tmp_path)
+    proc = run_checker(tmp_path, "--only", "sweep")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    # The static shelf still clears its floor; the belt alone regressed.
+    write_sweep(tmp_path, moving_speedup=6.5)
+    proc = run_checker(tmp_path, "--only", "sweep")
+    assert proc.returncode == 1
+    assert "moving-scene fused-vs-scalar speedup 6.50x" in proc.stdout
+
+    proc = run_checker(tmp_path, "--only", "sweep", "--sweep-moving-floor", "4.5")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_sweep_record_without_a_moving_scene_fails(tmp_path):
+    write_sweep(tmp_path, moving_speedup=None)
+    proc = run_checker(tmp_path, "--only", "sweep")
+    assert proc.returncode == 1
+    assert "moving scene recorded" in proc.stdout
+
+
 def test_committed_records_pass_the_default_floors():
     proc = run_checker(REPO)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.motion.scenarios import StaticAntennaPosition, SweepScenario
 from repro.rf.geometry import Point3D
@@ -369,26 +371,80 @@ class TestRunRoundSchedule:
         )
 
         assert list(success_ids) == expected_ids
-        assert success_ends.tolist() == expected_ends
+        assert list(success_ends) == expected_ends
         assert duration == expected_duration
         # Identical protocol state and rng state afterwards.
         assert scheduled.scheduling_checkpoint() == reference.scheduling_checkpoint()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        initial_q=st.floats(0.0, 8.4),
+        adaptive=st.booleans(),
+        population=st.integers(0, 300),
+        start=st.floats(0.0, 1e3, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(initial_q=4.0, adaptive=False, population=0, start=0.5, seed=1)
+    @example(initial_q=0.0, adaptive=True, population=1, start=0.5, seed=2)
+    @example(initial_q=8.4, adaptive=True, population=1, start=0.5, seed=3)
+    def test_matches_run_round_any_round(
+        self, initial_q, adaptive, population, start, seed
+    ):
+        # Any Q, adaptive or not, and both forms of tag_ids: the id list and
+        # the fused scheduler's index array (here a zone subset of a larger
+        # population), whose winners come back as Python ints.
+        names = [f"tag-{i:04d}" for i in range(population)]
+        reference = FrameSlottedAloha(initial_q=initial_q, adaptive=adaptive)
+        rng = np.random.default_rng(seed)
+        events = reference.run_round(names, start, rng)
+        successes = [e for e in events if e.outcome is SlotOutcome.SUCCESS]
+        expected = (
+            [e.end_time_s for e in successes],
+            reference.round_duration_s(events),
+            reference.scheduling_checkpoint(),
+            rng.bit_generator.state,
+        )
+        expected_ids = [e.tag_id for e in successes]
+
+        for tag_ids in (names, np.arange(0, 3 * population, 3, dtype=np.intp)):
+            scheduled = FrameSlottedAloha(initial_q=initial_q, adaptive=adaptive)
+            rng = np.random.default_rng(seed)
+            ids, ends, duration = scheduled.run_round_schedule(tag_ids, start, rng)
+            if isinstance(tag_ids, np.ndarray):
+                assert all(type(index) is int for index in ids)
+                ids = [names[index // 3] for index in ids]
+            assert ids == expected_ids
+            assert all(type(end) is float for end in ends)
+            assert (
+                ends,
+                duration,
+                scheduled.scheduling_checkpoint(),
+                rng.bit_generator.state,
+            ) == expected
+
     def test_multi_round_state_walk(self):
         # Alternate implementations across rounds: every prefix through
-        # either implementation leaves the same Q and rng state.
-        tag_ids = [f"t{i}" for i in range(9)]
+        # either implementation leaves the same Q and rng state — at a fixed
+        # population, then one that shrinks and grows to walk Q down and up
+        # (the schedule side takes the fused scheduler's index arrays).
+        populations = [9] * 12 + [200, 150, 90, 40, 12, 3, 1, 0, 5, 30, 70, 120, 260]
         via_events = FrameSlottedAloha()
         via_schedule = FrameSlottedAloha()
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
         clock_a = clock_b = 0.0
-        for _ in range(12):
+        for population in populations:
+            tag_ids = [f"t{i}" for i in range(population)]
             events = via_events.run_round(tag_ids, clock_a, rng_a)
             clock_a += via_events.round_duration_s(events)
-            _, _, duration = via_schedule.run_round_schedule(tag_ids, clock_b, rng_b)
+            ids, ends, duration = via_schedule.run_round_schedule(
+                np.arange(population, dtype=np.intp), clock_b, rng_b
+            )
             clock_b += duration
+            successes = [e for e in events if e.outcome is SlotOutcome.SUCCESS]
+            assert [tag_ids[i] for i in ids] == [e.tag_id for e in successes]
+            assert ends == [e.end_time_s for e in successes]
             assert clock_a == clock_b
             assert (
                 via_events.scheduling_checkpoint()

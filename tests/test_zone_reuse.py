@@ -1,15 +1,17 @@
 """Oracle tests for the reading-zone check and its reuse across rounds.
 
 ``ReadingZone.contains_many`` must decide exactly as the component-wise
-formula below (the oracle) does, and on static layouts the fused sweep's
-scheduler re-uses the previous round's in-zone set while the antenna stays
-within the zone's freeze radius — which must never change a decision: a
-sweep with tags a hair inside and outside the range and the beam edge reads
-exactly as the scalar reference loop does.
+formula below (the oracle) does, and on rigid layouts — static tags, or
+tags all moved by one displacement ``d(t)`` on a belt — the fused sweep's
+scheduler re-uses the previous round's in-zone set while the antenna,
+relative to the tags, stays within the zone's freeze radius.  That must
+never change a decision: sweeps with tags a hair inside and outside the
+range and the beam edge read exactly as the scalar reference loop does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.motion.scenarios import antenna_moving_scenario
-from repro.motion.speed_profiles import ConstantSpeedProfile
+from repro.motion.scenarios import (
+    BeltTagPositions,
+    ConstantVelocityTagPositions,
+    StaticAntennaPosition,
+    SweepScenario,
+    TrajectoryAntennaPosition,
+    antenna_moving_scenario,
+)
+from repro.motion.speed_profiles import ConstantSpeedProfile, jittered_speed_profile
 from repro.motion.trajectory import LinearTrajectory
 from repro.rf.antenna import DirectionalAntenna, ReadingZone
 from repro.rf.geometry import Point3D
@@ -27,7 +36,11 @@ from repro.rfid import reader as reader_module
 from repro.rfid.aloha import FrameSlottedAloha
 from repro.rfid.tag import make_tags
 from repro.simulation.collector import collect_sweep
-from repro.simulation.presets import standard_antenna_moving_scene, standard_reader_config
+from repro.simulation.presets import (
+    standard_antenna_moving_scene,
+    standard_reader_config,
+    standard_tag_moving_scene,
+)
 from repro.simulation.scene import Scene
 
 
@@ -145,6 +158,27 @@ def test_tags_on_an_edge_freeze_nothing(slack):
     assert zone.contains_many_frozen(antenna, antenna[None, :])[1] < 0.0
 
 
+EDGE_RANGE_M = 0.8
+EDGE_BEAM_RAD = math.radians(70.0)
+
+
+def edge_positions(antenna: np.ndarray) -> list[Point3D]:
+    """Tags 1e-12 m inside/outside the range and 1e-12 rad inside/outside
+    the beam edge of a downward-looking antenna at ``antenna``."""
+    positions = []
+    for azimuth in (0.3, 1.9, 4.0):
+        for slack in (-1e-12, 1e-12):
+            direction = np.array([0.5 * math.cos(azimuth), 0.5 * math.sin(azimuth), -1.0])
+            direction /= np.linalg.norm(direction)
+            positions.append(Point3D(*(antenna + (EDGE_RANGE_M + slack) * direction)))
+            theta = EDGE_BEAM_RAD + slack
+            ray = np.array(
+                [math.sin(theta) * math.cos(azimuth), math.sin(theta) * math.sin(azimuth), -math.cos(theta)]
+            )
+            positions.append(Point3D(*(antenna + 0.5 * ray)))
+    return positions
+
+
 def boundary_scene(seed: int = 5) -> Scene:
     """An antenna passing a tag row, with tags on the zone's edges at t = 0.
 
@@ -154,19 +188,7 @@ def boundary_scene(seed: int = 5) -> Scene:
     antenna passes.
     """
     start = np.array([0.0, -0.3, 0.5])
-    max_range = 0.8
-    beam = math.radians(70.0)
-    positions = [Point3D(0.1 * i, 0.0, 0.0) for i in range(13)]
-    for azimuth in (0.3, 1.9, 4.0):
-        for slack in (-1e-12, 1e-12):
-            direction = np.array([0.5 * math.cos(azimuth), 0.5 * math.sin(azimuth), -1.0])
-            direction /= np.linalg.norm(direction)
-            positions.append(Point3D(*(start + (max_range + slack) * direction)))
-            theta = beam + slack
-            ray = np.array(
-                [math.sin(theta) * math.cos(azimuth), math.sin(theta) * math.sin(azimuth), -math.cos(theta)]
-            )
-            positions.append(Point3D(*(start + 0.5 * ray)))
+    positions = [Point3D(0.1 * i, 0.0, 0.0) for i in range(13)] + edge_positions(start)
     tags = make_tags(positions, seed=seed)
     trajectory = LinearTrajectory(
         Point3D(*start), Point3D(1.2, -0.3, 0.5), speed_profile=ConstantSpeedProfile(0.6)
@@ -174,7 +196,57 @@ def boundary_scene(seed: int = 5) -> Scene:
     return Scene(
         tags=tags,
         scenario=antenna_moving_scenario(trajectory, tags.positions()),
-        reader_config=standard_reader_config(tags, seed=seed, max_range_m=max_range),
+        reader_config=standard_reader_config(tags, seed=seed, max_range_m=EDGE_RANGE_M),
+        protocol=FrameSlottedAloha(),
+        seed=seed + 1,
+    )
+
+
+def jittered_belt(starts, seed):
+    """A belt along −X whose speed jumps every 0.15 s around 0.6 m/s."""
+    profile = jittered_speed_profile(
+        0.6, 2.0, jitter_fraction=0.3, segment_duration_s=0.15,
+        rng=np.random.default_rng(seed),
+    )
+    return BeltTagPositions(starts, profile)
+
+
+def tilted_conveyor(starts, _seed):
+    """Tags translating together, each axis moving enough to flip decisions."""
+    return ConstantVelocityTagPositions(starts, (-0.2, 0.35, -0.3))
+
+
+def rigid_boundary_scene(carrier, moving_antenna: bool = False, seed: int = 5) -> Scene:
+    """An antenna over a belt: tags on the zone's edges at t = 0.
+
+    The same edge tags as :func:`boundary_scene`, placed around the antenna,
+    plus a row that the belt carries through the range and beam boundaries.
+    ``carrier(starts, seed)`` builds the rigid tag provider.  The antenna is
+    fixed, as over a real conveyor, or (``moving_antenna``) drifts too, so
+    the relative row ``antenna(t) − d(t)`` mixes both motions.
+    """
+    antenna = np.array([0.6, -0.3, 0.5])
+    positions = [Point3D(0.1 * i, 0.0, 0.0) for i in range(13)] + edge_positions(antenna)
+    tags = make_tags(positions, seed=seed)
+    if moving_antenna:
+        antenna_position = TrajectoryAntennaPosition(
+            LinearTrajectory(
+                Point3D(*antenna),
+                Point3D(*(antenna + [0.4, 0.15, 0.0])),
+                speed_profile=ConstantSpeedProfile(0.25),
+            )
+        )
+    else:
+        antenna_position = StaticAntennaPosition(Point3D(*antenna))
+    scenario = SweepScenario(
+        antenna_position=antenna_position,
+        tag_position=carrier(tags.positions(), seed),
+        duration_s=2.0,
+    )
+    return Scene(
+        tags=tags,
+        scenario=scenario,
+        reader_config=standard_reader_config(tags, seed=seed, max_range_m=EDGE_RANGE_M),
         protocol=FrameSlottedAloha(),
         seed=seed + 1,
     )
@@ -182,7 +254,9 @@ def boundary_scene(seed: int = 5) -> Scene:
 
 @pytest.fixture
 def zone_trace(monkeypatch):
-    """Records scheduler events in order: 'run', 'resume', 'zone', 'round'."""
+    """Records scheduler events in order: 'run', 'resume', 'zone' (an exact
+    evaluation that may be reused), 'zone-every' (one that may not) and
+    'round'."""
     events: list[str] = []
 
     def spy(owner, name, label):
@@ -197,6 +271,7 @@ def zone_trace(monkeypatch):
     spy(reader_module._SweepScheduler, "run", "run")
     spy(reader_module._SweepScheduler, "resume", "resume")
     spy(ReadingZone, "contains_many_frozen", "zone")
+    spy(ReadingZone, "contains_many", "zone-every")
     spy(FrameSlottedAloha, "run_round_schedule", "round")
     return events
 
@@ -209,18 +284,60 @@ def test_boundary_tags_sweep_like_the_scalar_reference(zone_trace):
     assert fused.reads == scalar.reads
 
 
-def test_rounds_reuse_the_zone_and_a_resume_resets_it(zone_trace):
-    # Deep fades with dropouts on: the optimistic schedule rolls back.
-    noise = NoiseModel(
-        phase_noise_std_rad=0.25,
-        rssi_noise_std_db=2.0,
-        random_dropout_probability=0.10,
-        fade_dropout_threshold_db=-7.0,
-    )
+@pytest.mark.parametrize("moving_antenna", [False, True])
+@pytest.mark.parametrize("carrier", [jittered_belt, tilted_conveyor])
+def test_rigid_boundary_tags_sweep_like_the_scalar_reference(
+    zone_trace, carrier, moving_antenna
+):
+    def scene():
+        return rigid_boundary_scene(carrier, moving_antenna)
+
+    fused = collect_sweep(scene(), engine="fused").read_log
+    # Moving tags reuse the zone too: fewer evaluations than rounds.
+    assert 0 < zone_trace.count("zone") < zone_trace.count("round") / 2
+    assert zone_trace.count("zone-every") == 0
+    scalar = collect_sweep(scene(), engine="scalar").read_log
+    assert len(scalar) > 0
+    assert fused.reads == scalar.reads
+
+
+def test_plain_callable_layouts_evaluate_every_round(zone_trace):
+    # A bare function hides the rigid displacement: no reuse is possible.
+    def scene():
+        rigid = rigid_boundary_scene(jittered_belt)
+        belt = rigid.scenario.tag_position
+        scenario = dataclasses.replace(
+            rigid.scenario, tag_position=lambda tag_id, time_s: belt(tag_id, time_s)
+        )
+        return dataclasses.replace(rigid, scenario=scenario)
+
+    fused = collect_sweep(scene(), engine="fused").read_log
+    assert zone_trace.count("zone") == 0
+    assert zone_trace.count("zone-every") == zone_trace.count("round") > 0
+    scalar = collect_sweep(scene(), engine="scalar").read_log
+    assert fused.reads == scalar.reads
+
+
+# Deep fades with dropouts on: the optimistic schedule rolls back.
+ROLLBACK_NOISE = NoiseModel(
+    phase_noise_std_rad=0.25,
+    rssi_noise_std_db=2.0,
+    random_dropout_probability=0.10,
+    fade_dropout_threshold_db=-7.0,
+)
+
+
+@pytest.mark.parametrize(
+    ("scene_factory", "seed"),
+    # Seeds at which each scene mis-guesses a few rounds (not the exact
+    # fallback, whose single replay is no rollback).
+    [(standard_antenna_moving_scene, 2015), (standard_tag_moving_scene, 5)],
+)
+def test_rounds_reuse_the_zone_and_a_resume_resets_it(zone_trace, scene_factory, seed):
     tags = make_tags([Point3D(i * 0.08, 0.06 * (i % 2), 0.0) for i in range(8)], seed=2015)
 
     def scene():
-        return standard_antenna_moving_scene(tags, seed=2015, noise=noise)
+        return scene_factory(tags, seed=seed, noise=ROLLBACK_NOISE)
 
     fused_scene = scene()
     reader = reader_module.RFIDReader(
@@ -241,6 +358,7 @@ def test_rounds_reuse_the_zone_and_a_resume_resets_it(zone_trace):
 
     # Most rounds reuse the previous in-zone set...
     assert events.count("zone") < events.count("round") / 2
+    assert events.count("zone-every") == 0
     # ...but every (re)started schedule evaluates the zone before its first
     # round, so a rollback never carries a frozen mask across the replay.
     starts = [index for index, event in enumerate(events) if event in ("run", "resume")]
